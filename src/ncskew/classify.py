@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .compositions import Composition
 from .diagrams import SkewDiagram, connected_diagrams
 from .ncsym import act, skew_schur, source_skew_schur
 from .permutations import Permutation
@@ -109,22 +110,14 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
     return SameDiagramVerdict(equal=act(sigma, src) == src, blocks_preserved=preserved)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _surviving_keys(d: SkewDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Blocks of the interval set partitions indexed by every permutation
-    whose determinant term survives (no negative subscript), deduplicated."""
-    from .compositions import Composition
-    from .permutations import signed_images
-
-    a = d.jt_subscripts().entries
-    ell = len(a)
-    keys = set()
-    for images, _sign in signed_images(ell):
-        subs = [a[i][images[i] - 1] for i in range(ell)]
-        if any(s < 0 for s in subs):
-            continue
-        key = SetPartition.from_composition(Composition(tuple(s for s in subs if s)))
-        keys.add(key.blocks)
+    """Blocks of the interval set partitions indexed by every determinant
+    term that survives (no negative subscript), deduplicated."""
+    keys = {
+        SetPartition.from_composition(Composition(tuple(s for s in subs if s))).blocks
+        for subs, _sign in d.jt_subscripts().surviving_terms()
+    }
     return tuple(sorted(keys))
 
 
@@ -241,7 +234,7 @@ class _Entry:
     rotated: SkewDiagram
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _table(n: int):
     diagrams = tuple(connected_diagrams(n))
     perms = tuple(itertools.permutations(range(1, n + 1)))
@@ -296,11 +289,16 @@ def _verify_rows(n: int, rows: tuple[int, ...], prune: bool):
                 continue
             pair_count += 1
             conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
-            if prune and not overlap_partitions_agree(first.diagram, second.diagram):
-                # Rotation pairs always share overlap partitions, so the
-                # predicate is false throughout; the pruning lemma says the
-                # oracle is too.  The unpruned run cross-checks this.
-                assert not conditions_12
+            if (
+                prune
+                and not overlap_partitions_agree(first.diagram, second.diagram)
+                and not conditions_12
+            ):
+                # The predicate is false throughout, and the pruning lemma
+                # says the oracle is too; the unpruned run cross-checks
+                # this.  Rotation pairs always share overlap partitions, so
+                # a pair meeting conditions 1 and 2 would never get here;
+                # should one, it takes the full check below.
                 coset_checks += len(perms)
                 agreements += len(perms)
                 continue

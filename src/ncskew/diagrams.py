@@ -14,6 +14,10 @@ from typing import Iterator
 
 from .compositions import Composition, Partition, WeakComposition, compositions
 
+# The most determinant terms one expansion may have; larger diagrams (a
+# column of more than 17 cells, say) are refused instead of running for hours.
+EXPANSION_TERM_CAP = 2**16
+
 
 @dataclass(frozen=True)
 class SubscriptMatrix:
@@ -22,6 +26,11 @@ class SubscriptMatrix:
     Entry (i, j) is outer_i - inner_j - i + j with 1-based indices and inner
     padded with zeros.  Entries can be negative; those index nothing and
     kill the corresponding determinant terms.
+
+    The matrix is rank-one shifted, entry (i, j) = (outer_i - i) + (j - inner_j),
+    so every row strictly increases and its nonnegative entries form a
+    suffix of the columns; outer_i - i strictly decreases down the rows, so
+    these suffixes shrink going down.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -36,6 +45,62 @@ class SubscriptMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(self.dimension))
+
+    def _suffix_starts(self) -> list[int]:
+        """The first column (0-based) of each row's nonnegative suffix."""
+        ell = self.dimension
+        return [next((j for j, s in enumerate(row) if s >= 0), ell) for row in self.entries]
+
+    def term_count(self) -> int:
+        """How many determinant terms have no negative subscript.
+
+        Placing rows bottom up, the row with k rows below it may take any
+        column of its suffix except the k already used, all of which lie in
+        its suffix because the suffixes shrink going down.
+
+        >>> SkewDiagram(Partition((1, 1, 1))).jt_subscripts().term_count()
+        4
+        """
+        ell = self.dimension
+        count = 1
+        for i, start in enumerate(self._suffix_starts()):
+            count *= max(0, ell - start - (ell - 1 - i))
+        return count
+
+    def surviving_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The determinant terms with no negative subscript, each as the
+        subscripts (entry(i, w(i)) for the rows i top down) and sign(w).
+
+        Columns are assigned from the bottom row up, and since every row's
+        suffix contains the suffixes of the rows below it, each partial
+        assignment extends to a full one: the work grows with the number of
+        terms, not with the ell! permutations.  Placing a column flips the
+        sign once per used column to its left, one inversion each.
+
+        Raises ValueError when there are more than EXPANSION_TERM_CAP terms.
+
+        >>> sorted(SkewDiagram(Partition((2, 1))).jt_subscripts().surviving_terms())
+        [((2, 1), 1), ((3, 0), -1)]
+        """
+        count = self.term_count()
+        if count > EXPANSION_TERM_CAP:
+            raise ValueError(
+                f"the expansion has {count} terms, more than the cap of {EXPANSION_TERM_CAP}"
+            )
+        ell = self.dimension
+        # (subscripts of the rows placed so far, used columns as bits, sign)
+        partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+        for row, start in zip(reversed(self.entries), reversed(self._suffix_starts())):
+            grown = []
+            for subs, used, sign in partial:
+                for c in range(start, ell):
+                    bit = 1 << c
+                    if used & bit:
+                        continue
+                    flipped = (used & (bit - 1)).bit_count() & 1
+                    grown.append(((row[c],) + subs, used | bit, -sign if flipped else sign))
+            partial = grown
+        return ((subs, sign) for subs, _used, sign in partial)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 
 from .compositions import Composition
 from .diagrams import SkewDiagram
-from .permutations import Permutation, signed_images
+from .permutations import Permutation
 from .setpartitions import SetPartition
 from .sym import SymExpansion
 
@@ -128,23 +128,22 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
     return NCExpansion({delta.act(key): coeff for key, coeff in e._terms.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def source_skew_schur(d: SkewDiagram) -> NCExpansion:
     """The skew Schur function of d with the source labeling.
 
-    Noncommutative Jacobi-Trudi: each permutation w of the rows contributes
-    sign(w) times h of the interval set partition with consecutive block
-    sizes A[1, w(1)], ..., A[ell, w(ell)] (zeros vanish), divided by the
-    product of the factorials of those subscripts.  Negative subscripts kill
-    the term.
+    Noncommutative Jacobi-Trudi, expanded over the determinant terms with
+    no negative subscript only (see SubscriptMatrix.surviving_terms): rows
+    take columns bottom up within the nonnegative suffix of their row of
+    subscripts, and since these suffixes shrink going down, no partial
+    choice is a dead end, so the work grows with the number of terms rather
+    than with ell!.  The term of w is sign(w) times h of the interval set
+    partition with consecutive block sizes A[1, w(1)], ..., A[ell, w(ell)]
+    (zeros vanish), divided by the product of the factorials of those
+    subscripts.  More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    a = d.jt_subscripts().entries
-    ell = len(a)
     out: list[tuple[SetPartition, Fraction]] = []
-    for images, sign in signed_images(ell):
-        subs = [a[i][images[i] - 1] for i in range(ell)]
-        if any(s < 0 for s in subs):
-            continue
+    for subs, sign in d.jt_subscripts().surviving_terms():
         denominator = prod(factorial(s) for s in subs)
         key = SetPartition.from_composition(Composition(tuple(s for s in subs if s)))
         out.append((key, Fraction(sign, denominator)))

@@ -104,17 +104,3 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
 
-
-def signed_images(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """One-line image tuples of S_n together with their signs.
-
-    Bare tuples rather than Permutation objects; this is the inner loop of
-    the determinant expansions.
-    """
-    for images in itertools.permutations(range(1, n + 1)):
-        inversions = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if images[i] > images[j]:
-                    inversions += 1
-        yield images, (-1 if inversions % 2 else 1)

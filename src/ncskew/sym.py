@@ -12,7 +12,6 @@ from typing import Iterable, Mapping, Union
 
 from .compositions import Composition, Partition
 from .diagrams import SkewDiagram
-from .permutations import signed_images
 
 Coefficient = Union[Fraction, int]
 
@@ -111,17 +110,16 @@ def h(key: Partition) -> SymExpansion:
 def skew_schur(d: SkewDiagram) -> SymExpansion:
     """The skew Schur function of d, by the Jacobi-Trudi determinant.
 
-    Each permutation w picks the subscripts A[i, w(i)]; a negative subscript
-    kills the term, subscript zero contributes the factor 1, and the rest
-    multiply into h of the sorted positive subscripts, signed by w.
+    Only the determinant terms with no negative subscript are enumerated
+    (see SubscriptMatrix.surviving_terms): rows take columns bottom up
+    within the nonnegative suffix of their row of subscripts, and since
+    these suffixes shrink going down, no partial choice is a dead end.  Each
+    term is sign(w) times h of its sorted positive subscripts; subscript
+    zero contributes the factor 1.  More than EXPANSION_TERM_CAP terms raise
+    ValueError.
     """
-    a = d.jt_subscripts().entries
-    ell = len(a)
     out: list[tuple[Partition, Fraction]] = []
-    for images, sign in signed_images(ell):
-        subs = [a[i][images[i] - 1] for i in range(ell)]
-        if any(s < 0 for s in subs):
-            continue
+    for subs, sign in d.jt_subscripts().surviving_terms():
         key = Partition(tuple(sorted((s for s in subs if s), reverse=True)))
         out.append((key, Fraction(sign)))
     return SymExpansion(out)

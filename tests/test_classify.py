@@ -175,6 +175,31 @@ def test_verify_prune_and_jobs_change_nothing():
     assert verify_exhaustive(4, jobs=2, prune=True) == base
 
 
+def test_pruning_never_skips_a_rotation_pair(monkeypatch):
+    """Even if the overlap test wrongly rejected every pair, the pairs
+    meeting conditions 1 and 2 still get the full check."""
+    import math
+
+    from ncskew import classify
+
+    n = 5
+    checked = []
+    acted_equal = classify._acted_equal
+
+    def counting_acted_equal(*args):
+        checked.append(args)
+        return acted_equal(*args)
+
+    monkeypatch.setattr(classify, "overlap_partitions_agree", lambda d, t: False)
+    monkeypatch.setattr(classify, "_acted_equal", counting_acted_equal)
+    report = verify_exhaustive(n, prune=True)
+    assert report.ok
+    diagrams = connected_diagrams(n)
+    rotation_pairs = sum(1 for d in diagrams if d.is_ribbon() and not d.is_symmetric())
+    same_diagram_pairs = len(diagrams)
+    assert len(checked) == (same_diagram_pairs + rotation_pairs) * math.factorial(n)
+
+
 def test_verify_validation():
     with pytest.raises(ValueError):
         verify_exhaustive(0)

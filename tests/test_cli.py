@@ -107,6 +107,20 @@ def test_verify_cap(capsys):
     assert "--force" in err
 
 
+def test_expand_nc_tall_column(capsys):
+    code, out, _ = run(capsys, "expand-nc", "--source", ",".join(["1"] * 14), "--format", "machine")
+    assert code == 0
+    assert len(out.splitlines()) == 8192
+
+
+def test_expansion_term_cap(capsys):
+    column = ",".join(["1"] * 40)
+    for argv in (["expand-nc", "--source", column], ["expand", column]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: the expansion has {2**39} terms, more than the cap of {2**16}\n"
+
+
 def test_exit_codes(capsys):
     # semantic error: inner not contained
     code, _, err = run(capsys, "expand", "3,1/2,2")

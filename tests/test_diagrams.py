@@ -1,9 +1,12 @@
-from itertools import product
+import math
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
 from ncskew.compositions import Composition, Partition, WeakComposition, compositions
-from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
+from ncskew.diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams, ribbon
+from ncskew.permutations import symmetric_group
 
 CONNECTED_COUNTS = [1, 2, 4, 9, 20, 46]
 
@@ -160,6 +163,67 @@ def test_jt_subscript_structure():
                     if (i, j) != (1, ell):
                         assert m.entry(i, j) < corner
             assert m.diagonal() == d.row_lengths().parts
+
+
+def _signed_images(n):
+    """Reference oracle: every one-line image tuple of S_n with its sign,
+    inversions counted afresh for each."""
+    for images in permutations(range(1, n + 1)):
+        inversions = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if images[i] > images[j]:
+                    inversions += 1
+        yield images, (-1 if inversions % 2 else 1)
+
+
+def _oracle_terms(m):
+    """The determinant terms with no negative subscript, by walking all
+    ell! permutations of the rows."""
+    ell = m.dimension
+    out = Counter()
+    for images, sign in _signed_images(ell):
+        subs = tuple(m.entry(i + 1, images[i]) for i in range(ell))
+        if all(s >= 0 for s in subs):
+            out[subs, sign] += 1
+    return out
+
+
+def _column(n):
+    return SkewDiagram(Partition((1,) * n))
+
+
+def test_signed_images_agrees_with_objects():
+    for n in range(5):
+        raw = {images: sign for images, sign in _signed_images(n)}
+        assert len(raw) == math.factorial(n)
+        for sigma in symmetric_group(n):
+            assert raw[sigma.images] == sigma.sign()
+
+
+def test_surviving_terms_match_permutation_oracle():
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            m = d.jt_subscripts()
+            got = Counter(m.surviving_terms())
+            assert got == _oracle_terms(m), d
+            assert m.term_count() == sum(got.values())
+
+
+def test_surviving_terms_of_columns():
+    for n in range(1, 13):
+        m = _column(n).jt_subscripts()
+        assert m.term_count() == 2 ** (n - 1)
+        assert sum(1 for _ in m.surviving_terms()) == 2 ** (n - 1)
+
+
+def test_surviving_terms_cap():
+    # a column of 17 cells has exactly the cap's 2**16 terms, one more row is refused
+    assert _column(17).jt_subscripts().term_count() == EXPANSION_TERM_CAP
+    tall = _column(40).jt_subscripts()
+    assert tall.term_count() == 2**39
+    with pytest.raises(ValueError, match=f"{2**39} terms.*cap of {EXPANSION_TERM_CAP}"):
+        tall.surviving_terms()
 
 
 def _partitions_in_box(rows, cols):

@@ -3,7 +3,7 @@ from itertools import permutations as iterperms
 
 import pytest
 
-from ncskew.permutations import Permutation, signed_images, symmetric_group
+from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition, set_partitions
 
 
@@ -97,14 +97,6 @@ def test_preserves_blocks():
                 sorted(sigma(j) for j in block) == list(block) for block in pi.blocks
             )
             assert sigma.preserves_blocks(pi) == expected
-
-
-def test_signed_images_agrees_with_objects():
-    for n in range(5):
-        raw = {images: sign for images, sign in signed_images(n)}
-        assert len(raw) == math.factorial(n)
-        for sigma in symmetric_group(n):
-            assert raw[sigma.images] == sigma.sign()
 
 
 def test_itertools_order():
