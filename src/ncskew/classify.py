@@ -15,14 +15,12 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .compositions import Composition
 from .diagrams import SkewDiagram, connected_diagrams
-from .ncsym import act, skew_schur, source_skew_schur
+from .ncsym import NCExpansion, skew_schur, source_skew_schur
 from .permutations import Permutation
-from .setpartitions import SetPartition
+from .setpartitions import SetPartition, interval_blocks
 from .sym import overlap_partitions_agree
 
 
@@ -82,8 +80,8 @@ def expansions_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
 class SameDiagramVerdict:
     """Oracle verdict for one diagram labeled two ways, plus whether the
     relabeling satisfies the sufficient block condition: it preserves every
-    block of every surviving determinant index.  Truthiness is the oracle
-    verdict."""
+    block of every basis index in the source expansion, so it fixes every
+    term.  Truthiness is the oracle verdict."""
 
     equal: bool
     blocks_preserved: bool
@@ -104,21 +102,8 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
     if sigma.size != d.size:
         raise ValueError(f"labeling size {sigma.size} differs from diagram size {d.size}")
     src = source_skew_schur(d)
-    preserved = all(
-        sigma.preserves_blocks(SetPartition(blocks)) for blocks in _surviving_keys(d)
-    )
-    return SameDiagramVerdict(equal=act(sigma, src) == src, blocks_preserved=preserved)
-
-
-@lru_cache(maxsize=1024)
-def _surviving_keys(d: SkewDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Blocks of the interval set partitions indexed by every determinant
-    term that survives (no negative subscript), deduplicated."""
-    keys = {
-        SetPartition.from_composition(Composition(tuple(s for s in subs if s))).blocks
-        for subs, _sign in d.jt_subscripts().surviving_terms()
-    }
-    return tuple(sorted(keys))
+    preserved = all(sigma.preserves_blocks(key) for key in src.support())
+    return SameDiagramVerdict(equal=src.relabels_to(sigma.images, src), blocks_preserved=preserved)
 
 
 def count_equivalent(d: SkewDiagram) -> int:
@@ -128,15 +113,12 @@ def count_equivalent(d: SkewDiagram) -> int:
     lengths."""
     if not (d.is_connected() and d.is_ribbon() and not d.is_symmetric()):
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    n = d.size
-    items, _ = _raw_expansion(d)
-    _, target = _raw_expansion(d.rotate())
-    if len(items) != len(target):
-        return 0
+    src = source_skew_schur(d)
+    target = source_skew_schur(d.rotate())
     return sum(
         1
-        for images in itertools.permutations(range(1, n + 1))
-        if _acted_equal(images, items, target)
+        for images in itertools.permutations(range(1, d.size + 1))
+        if src.relabels_to(images, target)
     )
 
 
@@ -179,32 +161,6 @@ class VerificationReport:
         return not self.disagreements
 
 
-def _raw_expansion(d: SkewDiagram):
-    src = source_skew_schur(d)
-    items = tuple((key.blocks, coeff) for key, coeff in src.items())
-    target = {key.blocks: coeff for key, coeff in src.items()}
-    return items, target
-
-
-def _act_blocks(
-    images: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    moved = [tuple(sorted(images[e - 1] for e in block)) for block in blocks]
-    moved.sort()
-    return tuple(moved)
-
-
-def _acted_equal(
-    images: tuple[int, ...],
-    items: tuple[tuple[tuple[tuple[int, ...], ...], Fraction], ...],
-    target: dict,
-) -> bool:
-    for blocks, coeff in items:
-        if target.get(_act_blocks(images, blocks)) != coeff:
-            return False
-    return True
-
-
 def _fixes_intervals(images: tuple[int, ...], intervals: tuple[tuple[int, int], ...]) -> bool:
     for a, b in intervals:
         for x in range(a, b + 1):
@@ -213,21 +169,10 @@ def _fixes_intervals(images: tuple[int, ...], intervals: tuple[tuple[int, int], 
     return True
 
 
-def _bar_fixes_intervals(
-    images: tuple[int, ...], intervals: tuple[tuple[int, int], ...], n: int
-) -> bool:
-    for a, b in intervals:
-        for x in range(a, b + 1):
-            if not a <= n + 1 - images[x - 1] <= b:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class _Entry:
     diagram: SkewDiagram
-    items: tuple
-    target: dict
+    expansion: NCExpansion
     row_intervals: tuple[tuple[int, int], ...]
     surviving_intervals: tuple[tuple[int, int], ...]
     nonsym_ribbon: bool
@@ -240,19 +185,14 @@ def _table(n: int):
     perms = tuple(itertools.permutations(range(1, n + 1)))
     entries = []
     for d in diagrams:
-        items, target = _raw_expansion(d)
-        row_intervals = []
-        start = 1
-        for part in d.row_lengths().parts:
-            row_intervals.append((start, start + part - 1))
-            start += part
-        surviving = sorted({(block[0], block[-1]) for key in _surviving_keys(d) for block in key})
+        src = source_skew_schur(d)
+        rows = interval_blocks(d.row_lengths().parts)
+        surviving = sorted({(block[0], block[-1]) for key in src.support() for block in key.blocks})
         entries.append(
             _Entry(
                 diagram=d,
-                items=items,
-                target=target,
-                row_intervals=tuple(row_intervals),
+                expansion=src,
+                row_intervals=tuple((block[0], block[-1]) for block in rows),
                 surviving_intervals=tuple(surviving),
                 nonsym_ribbon=d.is_ribbon() and not d.is_symmetric(),
                 rotated=d.rotate(),
@@ -264,18 +204,20 @@ def _table(n: int):
 def _verify_rows(n: int, rows: tuple[int, ...], prune: bool):
     diagrams, perms, entries = _table(n)
     count = len(diagrams)
+    bars = [tuple(n + 1 - v for v in p) for p in perms]
     coset_checks = agreements = pair_count = 0
     same_checks = same_equal = same_condition = 0
     disagreements: list[Disagreement] = []
     for i in rows:
         first = entries[i]
-        bar_fixes = [_bar_fixes_intervals(p, first.row_intervals, n) for p in perms]
+        relabels_to = first.expansion.relabels_to
+        bar_fixes = [_fixes_intervals(bar, first.row_intervals) for bar in bars]
         for j in range(count):
             second = entries[j]
             if i == j:
                 for p in perms:
                     condition = _fixes_intervals(p, first.surviving_intervals)
-                    equal = _acted_equal(p, first.items, first.target)
+                    equal = relabels_to(p, first.expansion)
                     coset_checks += 1
                     same_checks += 1
                     same_equal += equal
@@ -302,10 +244,10 @@ def _verify_rows(n: int, rows: tuple[int, ...], prune: bool):
                 coset_checks += len(perms)
                 agreements += len(perms)
                 continue
-            lengths_match = len(first.items) == len(second.target)
+            lengths_match = len(first.expansion) == len(second.expansion)
             for p_index, p in enumerate(perms):
                 predicted = conditions_12 and bar_fixes[p_index]
-                observed = lengths_match and _acted_equal(p, first.items, second.target)
+                observed = lengths_match and relabels_to(p, second.expansion)
                 coset_checks += 1
                 if predicted == observed:
                     agreements += 1

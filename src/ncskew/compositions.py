@@ -148,6 +148,13 @@ class Partition:
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"partition parts must weakly decrease, got {self.parts!r}")
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+        """Wrap parts already known to be a partition, skipping validation."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "parts", parts)
+        return key
+
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -15,98 +15,46 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Mapping
 
 from .compositions import Composition
 from .diagrams import SkewDiagram
 from .permutations import Permutation
-from .setpartitions import SetPartition
-from .sym import SymExpansion
-
-Coefficient = Union[Fraction, int]
+from .setpartitions import Blocks, SetPartition, interval_blocks, relabel
+from .sym import Expansion, SymExpansion
 
 
-def _term_order(key: SetPartition) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    return (-key.length, key.blocks)
-
-
-class NCExpansion:
+class NCExpansion(Expansion):
     """A rational linear combination of h_pi basis elements of one degree."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _key_type = SetPartition
+    _raw = attrgetter("blocks")
 
-    def __init__(
-        self,
-        terms: Mapping[SetPartition, Coefficient] | Iterable[tuple[SetPartition, Coefficient]] = (),
-    ) -> None:
-        data: dict[SetPartition, Fraction] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in pairs:
-            if not isinstance(key, SetPartition):
-                raise ValueError(f"expansion keys must be set partitions, got {key!r}")
-            c = data.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        sizes = {key.size for key in data}
-        if len(sizes) > 1:
-            raise ValueError(f"expansion mixes degrees {sorted(sizes)}")
-        self._terms = data
+    @staticmethod
+    def _product(raw1: Blocks, raw2: Blocks) -> Blocks:
+        """h_pi times h_rho is h of the slash product pi | rho."""
+        return SetPartition._trusted(raw1).slash(SetPartition._trusted(raw2)).blocks
 
-    @property
-    def degree(self) -> int | None:
-        for key in self._terms:
-            return key.size
-        return None
-
-    def coefficient(self, key: SetPartition) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
-    def items(self) -> list[tuple[SetPartition, Fraction]]:
-        """Terms in display order: more blocks first, then lexicographic."""
-        return sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
-
-    def support(self) -> set[SetPartition]:
-        return set(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCExpansion):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: NCExpansion) -> NCExpansion:
-        return NCExpansion(list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other: NCExpansion) -> NCExpansion:
-        return self + other.scaled(-1)
-
-    def scaled(self, c: Coefficient) -> NCExpansion:
-        c = Fraction(c)
-        return NCExpansion({key: coeff * c for key, coeff in self._terms.items()})
-
-    def __mul__(self, other: NCExpansion) -> NCExpansion:
-        """Bilinear extension of the slash product on basis indices."""
-        out: list[tuple[SetPartition, Fraction]] = []
-        for key1, c1 in self._terms.items():
-            for key2, c2 in other._terms.items():
-                out.append((key1.slash(key2), c1 * c2))
-        return NCExpansion(out)
+    def relabels_to(self, images: tuple[int, ...], other: NCExpansion) -> bool:
+        """act(Permutation(images), self) == other, without building the
+        image: each term is relabeled and looked up in other in turn."""
+        if len(self._terms) != len(other._terms):
+            return False
+        target = other._terms
+        for raw, coeff in self._terms.items():
+            # Most checks end at a missing key; testing for None first skips
+            # the slow reflected comparison of None with a Fraction.
+            found = target.get(relabel(images, raw))
+            if found is None or found != coeff:
+                return False
+        return True
 
     def __str__(self) -> str:
         from .textio import format_nc_expansion
 
         return format_nc_expansion(self)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{key.blocks}: {coeff}" for key, coeff in self.items())
-        return f"NCExpansion({{{inner}}})"
 
 
 def h(key: SetPartition) -> NCExpansion:
@@ -125,7 +73,8 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
         return e
     if delta.size != e.degree:
         raise ValueError(f"permutation of size {delta.size} cannot act in degree {e.degree}")
-    return NCExpansion({delta.act(key): coeff for key, coeff in e._terms.items()})
+    images = delta.images
+    return NCExpansion._from_raw((relabel(images, raw), coeff) for raw, coeff in e._terms.items())
 
 
 @lru_cache(maxsize=1024)
@@ -142,12 +91,10 @@ def source_skew_schur(d: SkewDiagram) -> NCExpansion:
     (zeros vanish), divided by the product of the factorials of those
     subscripts.  More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    out: list[tuple[SetPartition, Fraction]] = []
-    for subs, sign in d.jt_subscripts().surviving_terms():
-        denominator = prod(factorial(s) for s in subs)
-        key = SetPartition.from_composition(Composition(tuple(s for s in subs if s)))
-        out.append((key, Fraction(sign, denominator)))
-    return NCExpansion(out)
+    return NCExpansion._from_raw(
+        (interval_blocks(s for s in subs if s), Fraction(sign, prod(factorial(s) for s in subs)))
+        for subs, sign in d.jt_subscripts().surviving_terms()
+    )
 
 
 def skew_schur(delta: Permutation, d: SkewDiagram) -> NCExpansion:
@@ -186,18 +133,18 @@ def ribbon_schur(alpha: Composition) -> NCExpansion:
     """
     if not alpha.parts:
         raise ValueError("a ribbon needs at least one row")
-    out: list[tuple[SetPartition, Fraction]] = []
-    for beta in alpha.coarsenings():
-        sign = -1 if (alpha.length - beta.length) % 2 else 1
-        out.append((SetPartition.from_composition(beta), Fraction(sign, beta.factorial())))
-    return NCExpansion(out)
+    n = alpha.length
+    return NCExpansion(
+        (SetPartition.from_composition(beta), Fraction((-1) ** (n - beta.length), beta.factorial()))
+        for beta in alpha.coarsenings()
+    )
 
 
 def to_commutative(e: NCExpansion) -> SymExpansion:
     """Let the variables commute: h_pi maps to pi's shape factorial times
     the commutative h of pi's shape."""
-    return SymExpansion(
-        [(key.shape(), coeff * key.shape_factorial()) for key, coeff in e._terms.items()]
+    return SymExpansion._from_raw(
+        (key.shape().parts, coeff * key.shape_factorial()) for key, coeff in e.items()
     )
 
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .setpartitions import SetPartition
+from .setpartitions import SetPartition, relabel
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class Permutation:
         """
         if self.size != pi.size:
             raise ValueError("permutation and set partition sizes differ")
-        return SetPartition(tuple(tuple(self.images[e - 1] for e in block) for block in pi.blocks))
+        return SetPartition._trusted(relabel(self.images, pi.blocks))
 
     def preserves_blocks(self, pi: SetPartition) -> bool:
         """True if self maps every block of pi onto itself."""

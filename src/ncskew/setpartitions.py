@@ -10,9 +10,11 @@ of blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .compositions import Composition, Partition
+
+Blocks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,13 @@ class SetPartition:
         return len(self.blocks)
 
     @classmethod
+    def _trusted(cls, blocks: Blocks) -> SetPartition:
+        """Wrap blocks already in canonical form, skipping validation."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "blocks", blocks)
+        return pi
+
+    @classmethod
     def from_composition(cls, alpha: Composition) -> SetPartition:
         """The set partition of {1..n} into consecutive intervals with the
         given lengths.
@@ -49,16 +58,11 @@ class SetPartition:
         >>> SetPartition.from_composition(Composition((1, 2, 1, 3, 2))).blocks
         ((1,), (2, 3), (4,), (5, 6, 7), (8, 9))
         """
-        blocks = []
-        start = 1
-        for part in alpha.parts:
-            blocks.append(tuple(range(start, start + part)))
-            start += part
-        return cls(tuple(blocks))
+        return cls._trusted(interval_blocks(alpha.parts))
 
     def shape(self) -> Partition:
         """Block sizes sorted weakly decreasing."""
-        return Partition(tuple(sorted((len(b) for b in self.blocks), reverse=True)))
+        return Partition._trusted(tuple(sorted((len(b) for b in self.blocks), reverse=True)))
 
     def shape_factorial(self) -> int:
         """Product of the factorials of the block sizes."""
@@ -74,7 +78,7 @@ class SetPartition:
         """
         n = self.size
         shifted = tuple(tuple(e + n for e in block) for block in other.blocks)
-        return SetPartition(self.blocks + shifted)
+        return SetPartition._trusted(self.blocks + shifted)
 
     def refines(self, other: SetPartition) -> bool:
         """True if every block of self sits inside some block of other.
@@ -88,6 +92,27 @@ class SetPartition:
             for e in block:
                 where[e] = i
         return all(len({where[e] for e in block}) == 1 for block in self.blocks)
+
+
+def interval_blocks(parts: Iterable[int]) -> Blocks:
+    """Canonical blocks of the consecutive intervals of {1..n} with the
+    given positive lengths."""
+    blocks = []
+    start = 1
+    for part in parts:
+        blocks.append(tuple(range(start, start + part)))
+        start += part
+    return tuple(blocks)
+
+
+def relabel(images: tuple[int, ...], blocks: Blocks) -> Blocks:
+    """Canonical blocks of a set partition relabeled entry by entry, e to
+    images[e - 1]; Permutation.act, ncsym.act and relabels_to call it.
+
+    >>> relabel((3, 2, 1), ((1, 2), (3,)))
+    ((1,), (2, 3))
+    """
+    return tuple(sorted([tuple(sorted([images[e - 1] for e in block])) for block in blocks]))
 
 
 def set_partitions(n: int) -> Iterator[SetPartition]:

@@ -1,14 +1,18 @@
 """Symmetric function expansions in the complete homogeneous basis.
 
-An expansion is a finitely supported map from partitions to exact
-rationals.  Only homogeneous expansions arise here, so mixing degrees is
-rejected.  Products multiply h-basis elements by merging their parts.
+An expansion is a finitely supported map from basis indices to exact
+rationals; `Expansion` holds it for both bases, and `SymExpansion`, indexed
+by partitions, is the commutative one.  Only homogeneous expansions arise
+here, so mixing degrees is rejected.  Products multiply h-basis elements by
+merging their parts.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, Union
 
 from .compositions import Composition, Partition
 from .diagrams import SkewDiagram
@@ -16,50 +20,70 @@ from .diagrams import SkewDiagram
 Coefficient = Union[Fraction, int]
 
 
-def _term_order(key: Partition) -> tuple[int, tuple[int, ...]]:
-    return (-key.length, key.parts)
+def _display_order(raw: tuple) -> tuple:
+    return (-len(raw), raw)
 
 
-class SymExpansion:
-    """A rational linear combination of h_lambda basis elements."""
+def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction]:
+    """Sum the coefficients of equal raw keys, drop zeros, sort for display."""
+    data: dict[tuple, Coefficient] = {}
+    for raw, coeff in pairs:
+        data[raw] = data[raw] + coeff if raw in data else coeff
+    return {raw: Fraction(data[raw]) for raw in sorted(data, key=_display_order) if data[raw]}
+
+
+class Expansion:
+    """A rational linear combination of h basis elements of one degree.
+
+    A subclass names its key type, the product of two basis indices and its
+    text form.  Terms are stored under the raw tuple of their key
+    (`Partition.parts` or `SetPartition.blocks`) in display order: more
+    parts first, then lexicographic.
+    """
 
     __slots__ = ("_terms",)
+    _key_type: type
+    _raw: Callable[[Any], tuple]
 
     def __init__(
-        self,
-        terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]] = (),
+        self, terms: Mapping[Any, Coefficient] | Iterable[tuple[Any, Coefficient]] = ()
     ) -> None:
-        data: dict[Partition, Fraction] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in pairs:
-            if not isinstance(key, Partition):
-                raise ValueError(f"expansion keys must be partitions, got {key!r}")
-            c = data.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        sizes = {key.size for key in data}
-        if len(sizes) > 1:
-            raise ValueError(f"expansion mixes degrees {sorted(sizes)}")
-        self._terms = data
+        pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for key, _coeff in pairs:
+            if not isinstance(key, self._key_type):
+                raise ValueError(f"expansion keys must be {self._key_type.__name__}, got {key!r}")
+        self._terms = _collect((self._raw(key), Fraction(coeff)) for key, coeff in pairs)
+        degrees = {self._key(raw).size for raw in self._terms}
+        if len(degrees) > 1:
+            raise ValueError(f"expansion mixes degrees {sorted(degrees)}")
+
+    @classmethod
+    def _from_raw(cls, pairs: Iterable[tuple[tuple, Coefficient]]):
+        """Trusted constructor from (raw key, coefficient) pairs whose keys
+        are canonical and of one degree, as keys derived from valid ones are."""
+        e = object.__new__(cls)
+        e._terms = _collect(pairs)
+        return e
+
+    def _key(self, raw: tuple):
+        return self._key_type._trusted(raw)
 
     @property
     def degree(self) -> int | None:
         """The common degree of the terms, or None for the zero expansion."""
-        for key in self._terms:
-            return key.size
+        for raw in self._terms:
+            return self._key(raw).size
         return None
 
-    def coefficient(self, key: Partition) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coefficient(self, key) -> Fraction:
+        return self._terms.get(self._raw(key), Fraction(0))
 
-    def items(self) -> list[tuple[Partition, Fraction]]:
+    def items(self) -> list[tuple[Any, Fraction]]:
         """Terms in display order: more parts first, then lexicographic."""
-        return sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
+        return [(self._key(raw), coeff) for raw, coeff in self._terms.items()]
 
-    def support(self) -> set[Partition]:
-        return set(self._terms)
+    def support(self) -> set:
+        return {self._key(raw) for raw in self._terms}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -68,38 +92,55 @@ class SymExpansion:
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymExpansion):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: SymExpansion) -> SymExpansion:
-        merged = dict(self._terms)
-        return SymExpansion(list(merged.items()) + list(other._terms.items()))
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self and other and self.degree != other.degree:
+            raise ValueError(f"expansion mixes degrees {sorted((self.degree, other.degree))}")
+        return self._from_raw(itertools.chain(self._terms.items(), other._terms.items()))
 
-    def __sub__(self, other: SymExpansion) -> SymExpansion:
+    def __sub__(self, other):
         return self + other.scaled(-1)
 
-    def scaled(self, c: Coefficient) -> SymExpansion:
+    def scaled(self, c: Coefficient):
         c = Fraction(c)
-        return SymExpansion({key: coeff * c for key, coeff in self._terms.items()})
+        return self._from_raw((raw, coeff * c) for raw, coeff in self._terms.items())
 
-    def __mul__(self, other: SymExpansion) -> SymExpansion:
+    def __mul__(self, other):
+        """Bilinear extension of the product of basis indices."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._from_raw(
+            (self._product(raw1, raw2), c1 * c2)
+            for raw1, c1 in self._terms.items()
+            for raw2, c2 in other._terms.items()
+        )
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in self._terms.items())
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+class SymExpansion(Expansion):
+    """A rational linear combination of h_lambda basis elements."""
+
+    __slots__ = ()
+    _key_type = Partition
+    _raw = attrgetter("parts")
+
+    @staticmethod
+    def _product(raw1: tuple[int, ...], raw2: tuple[int, ...]) -> tuple[int, ...]:
         """h_lambda times h_mu is h of the merged, resorted parts."""
-        out: list[tuple[Partition, Fraction]] = []
-        for key1, c1 in self._terms.items():
-            for key2, c2 in other._terms.items():
-                merged = Partition(tuple(sorted(key1.parts + key2.parts, reverse=True)))
-                out.append((merged, c1 * c2))
-        return SymExpansion(out)
+        return tuple(sorted(raw1 + raw2, reverse=True))
 
     def __str__(self) -> str:
         from .textio import format_sym_expansion
 
         return format_sym_expansion(self)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{key.parts}: {coeff}" for key, coeff in self.items())
-        return f"SymExpansion({{{inner}}})"
 
 
 def h(key: Partition) -> SymExpansion:
@@ -118,11 +159,10 @@ def skew_schur(d: SkewDiagram) -> SymExpansion:
     zero contributes the factor 1.  More than EXPANSION_TERM_CAP terms raise
     ValueError.
     """
-    out: list[tuple[Partition, Fraction]] = []
-    for subs, sign in d.jt_subscripts().surviving_terms():
-        key = Partition(tuple(sorted((s for s in subs if s), reverse=True)))
-        out.append((key, Fraction(sign)))
-    return SymExpansion(out)
+    return SymExpansion._from_raw(
+        (tuple(sorted((s for s in subs if s), reverse=True)), sign)
+        for subs, sign in d.jt_subscripts().surviving_terms()
+    )
 
 
 def ribbon_schur(alpha: Composition) -> SymExpansion:
@@ -133,11 +173,9 @@ def ribbon_schur(alpha: Composition) -> SymExpansion:
     """
     if not alpha.parts:
         raise ValueError("a ribbon needs at least one row")
-    out: list[tuple[Partition, Fraction]] = []
-    for beta in alpha.coarsenings():
-        sign = -1 if (alpha.length - beta.length) % 2 else 1
-        out.append((beta.to_partition(), Fraction(sign)))
-    return SymExpansion(out)
+    return SymExpansion(
+        (beta.to_partition(), (-1) ** (alpha.length - beta.length)) for beta in alpha.coarsenings()
+    )
 
 
 def overlap_partitions_agree(d: SkewDiagram, t: SkewDiagram) -> bool:

@@ -235,23 +235,20 @@ def _parse_term(term: str, parse_key):
     return parse_key(match.group(1)), coeff
 
 
-def parse_sym_expansion(text: str) -> SymExpansion:
+def _parse_expansion(text: str, expansion_type, parse_key, empty_key):
     text = text.strip()
     if text == "0":
-        return SymExpansion()
+        return expansion_type()
     pairs = []
     for sign, term in _split_signed_terms(text):
-        key, coeff = _parse_term(term, lambda t: parse_partition(t) if t else Partition(()))
+        key, coeff = _parse_term(term, lambda t: parse_key(t) if t else empty_key)
         pairs.append((key, sign * coeff))
-    return SymExpansion(pairs)
+    return expansion_type(pairs)
+
+
+def parse_sym_expansion(text: str) -> SymExpansion:
+    return _parse_expansion(text, SymExpansion, parse_partition, Partition(()))
 
 
 def parse_nc_expansion(text: str) -> NCExpansion:
-    text = text.strip()
-    if text == "0":
-        return NCExpansion()
-    pairs = []
-    for sign, term in _split_signed_terms(text):
-        key, coeff = _parse_term(term, lambda t: parse_set_partition(t) if t else SetPartition(()))
-        pairs.append((key, sign * coeff))
-    return NCExpansion(pairs)
+    return _parse_expansion(text, NCExpansion, parse_set_partition, SetPartition(()))

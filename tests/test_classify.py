@@ -2,7 +2,9 @@ import pytest
 
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
+from ncskew.ncsym import source_skew_schur
 from ncskew.permutations import Permutation, symmetric_group
+from ncskew.setpartitions import SetPartition
 from ncskew.classify import (
     LabeledDiagram,
     count_equivalent,
@@ -144,6 +146,19 @@ def test_same_diagram_validation():
         )
 
 
+def test_support_keys_are_the_surviving_term_keys():
+    """The block condition reads the keys of the source expansion; they are
+    exactly the interval set partitions of the surviving determinant terms,
+    so no surviving term cancels away."""
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            surviving = {
+                SetPartition.from_composition(Composition(tuple(s for s in subs if s)))
+                for subs, _sign in d.jt_subscripts().surviving_terms()
+            }
+            assert source_skew_schur(d).support() == surviving, d
+
+
 def test_verify_structure():
     for n in range(1, 5):
         report = verify_exhaustive(n)
@@ -181,23 +196,36 @@ def test_pruning_never_skips_a_rotation_pair(monkeypatch):
     import math
 
     from ncskew import classify
+    from ncskew.ncsym import NCExpansion
 
     n = 5
     checked = []
-    acted_equal = classify._acted_equal
+    relabels_to = NCExpansion.relabels_to
 
-    def counting_acted_equal(*args):
+    def counting_relabels_to(*args):
         checked.append(args)
-        return acted_equal(*args)
+        return relabels_to(*args)
 
     monkeypatch.setattr(classify, "overlap_partitions_agree", lambda d, t: False)
-    monkeypatch.setattr(classify, "_acted_equal", counting_acted_equal)
+    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
     report = verify_exhaustive(n, prune=True)
     assert report.ok
     diagrams = connected_diagrams(n)
     rotation_pairs = sum(1 for d in diagrams if d.is_ribbon() and not d.is_symmetric())
     same_diagram_pairs = len(diagrams)
     assert len(checked) == (same_diagram_pairs + rotation_pairs) * math.factorial(n)
+
+
+@pytest.mark.slow
+def test_verify_seven_pruned_counters():
+    report = verify_exhaustive(7, prune=True)
+    assert (report.diagram_count, report.pair_count, report.coset_checks) == (105, 10920, 55566000)
+    assert report.agreements == report.coset_checks and report.ok
+    assert (
+        report.same_diagram_checks,
+        report.same_diagram_equal,
+        report.same_diagram_condition,
+    ) == (529200, 9182, 8987)
 
 
 def test_verify_validation():

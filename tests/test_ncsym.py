@@ -184,3 +184,26 @@ def test_truncation_separates_basis():
 def test_term_order_in_str():
     e = ribbon_schur(Composition((1, 1, 1)))
     assert str(e) == "h[1/2/3] - 1/2*h[1/23] - 1/2*h[12/3] + 1/6*h[123]"
+
+
+def test_relabels_to_agrees_with_act():
+    """The sweep kernel answers act(sigma, E) == F without building the
+    image, on every ordered pair of connected diagrams (same-diagram pairs
+    included) and every sigma; act's keys come out canonical."""
+    for n in range(1, 5):
+        expansions = [source_skew_schur(d) for d in connected_diagrams(n)]
+        for sigma in symmetric_group(n):
+            for e in expansions:
+                image = act(sigma, e)
+                for key in image.support():
+                    assert key.blocks == SetPartition(key.blocks).blocks
+                for f in expansions:
+                    assert e.relabels_to(sigma.images, f) == (image == f)
+
+
+def test_relabels_to_needs_every_term():
+    e = source_skew_schur(ribbon(Composition((2, 1))))
+    bigger = e + h(_sp((1,), (2,), (3,)))
+    assert not e.relabels_to((1, 2, 3), bigger)
+    assert not bigger.relabels_to((1, 2, 3), e)
+    assert e.relabels_to((1, 2, 3), e)

@@ -1,0 +1,80 @@
+"""Property tests of the NCSym layer, run when hypothesis is installed.
+
+The examples are derandomized, so a failure reproduces on every run.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from ncskew import textio
+from ncskew.diagrams import connected_diagrams
+from ncskew.ncsym import act, source_skew_schur, to_commutative
+from ncskew.permutations import Permutation
+from ncskew.setpartitions import SetPartition
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+DIAGRAMS = {n: connected_diagrams(n) for n in range(1, 6)}
+
+
+def permutations_of(n):
+    return st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+
+
+@st.composite
+def source_expansions(draw, max_size=5):
+    n = draw(st.integers(1, max_size))
+    return source_skew_schur(draw(st.sampled_from(DIAGRAMS[n])))
+
+
+@st.composite
+def set_partitions_of_size(draw, max_size=5):
+    n = draw(st.integers(0, max_size))
+    labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    blocks = {}
+    for entry, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(entry)
+    return SetPartition(tuple(tuple(b) for b in blocks.values()))
+
+
+@PROPERTY
+@given(st.data())
+def test_act_is_a_group_action(data):
+    e = data.draw(source_expansions())
+    a = data.draw(permutations_of(e.degree))
+    b = data.draw(permutations_of(e.degree))
+    assert act(a * b, e) == act(a, act(b, e))
+    assert act(Permutation.identity(e.degree), e) == e
+
+
+@PROPERTY
+@given(st.data())
+def test_relabeling_commutes_away(data):
+    e = data.draw(source_expansions())
+    delta = data.draw(permutations_of(e.degree))
+    assert to_commutative(act(delta, e)) == to_commutative(e)
+
+
+@PROPERTY
+@given(set_partitions_of_size(), set_partitions_of_size(), set_partitions_of_size())
+def test_slash_is_associative(a, b, c):
+    assert a.slash(b).slash(c) == a.slash(b.slash(c))
+
+
+@PROPERTY
+@given(source_expansions(3), source_expansions(3), source_expansions(3))
+def test_expansion_product_is_associative(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(st.data())
+def test_nc_expansion_text_round_trip(data):
+    # products of two source expansions reach degree 10, where set
+    # partitions print with commas
+    e = data.draw(source_expansions()) * data.draw(source_expansions())
+    e = act(data.draw(permutations_of(e.degree)), e)
+    assert textio.parse_nc_expansion(str(e)) == e

@@ -122,3 +122,19 @@ def test_term_order_in_str():
     assert labels == sorted(labels, key=lambda p: (-len(p), p))
     assert str(skew_schur(SkewDiagram(Partition((1,))))) == "h[1]"
     assert str(h(Partition((2,))) - h(Partition((2,)))) == "0"
+
+
+def test_one_expansion_body():
+    from ncskew.ncsym import NCExpansion
+    from ncskew.sym import Expansion
+
+    for name in ("__init__", "__add__", "scaled", "__mul__", "items", "coefficient"):
+        assert name in vars(Expansion), name
+        assert name not in vars(SymExpansion) and name not in vars(NCExpansion), name
+
+
+def test_repr_and_display_order():
+    e = h(Partition((3,))) - h(Partition((2, 1))).scaled(Fraction(1, 2))
+    assert repr(e) == "SymExpansion({(2, 1): -1/2, (3,): 1})"
+    assert [key.parts for key, _ in e.items()] == [(2, 1), (3,)]
+    assert e.support() == {Partition((3,)), Partition((2, 1))}
