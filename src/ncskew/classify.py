@@ -13,14 +13,18 @@ labeling coset representative.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
+from typing import Iterator
 
 from .diagrams import SkewDiagram, connected_diagrams
-from .ncsym import NCExpansion, skew_schur, source_skew_schur
+from .ncsym import NCExpansion, source_skew_schur
 from .permutations import Permutation
-from .setpartitions import SetPartition, interval_blocks
+from .setpartitions import Blocks, SetPartition, interval_blocks
 from .sym import overlap_partitions_agree
 
 
@@ -70,10 +74,15 @@ def predicts_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
 
 
 def expansions_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
-    """Oracle: compare the two h-basis expansions term by term."""
+    """Oracle: compare the two h-basis expansions term by term.
+
+    act(delta, E_D) == act(tau, E_T) exactly when act(tau^-1 delta, E_D)
+    == E_T, so only the source expansions are relabeled and looked up.
+    """
     if a.diagram.size != b.diagram.size:
         raise ValueError("diagrams of different sizes cannot be compared")
-    return skew_schur(a.labeling, a.diagram) == skew_schur(b.labeling, b.diagram)
+    sigma = b.labeling.inverse() * a.labeling
+    return source_skew_schur(a.diagram).relabels_to(sigma.images, source_skew_schur(b.diagram))
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,7 @@ def count_equivalent(d: SkewDiagram) -> int:
     lengths."""
     if not (d.is_connected() and d.is_ribbon() and not d.is_symmetric()):
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    src = source_skew_schur(d)
-    target = source_skew_schur(d.rotate())
-    return sum(
-        1
-        for images in itertools.permutations(range(1, d.size + 1))
-        if src.relabels_to(images, target)
-    )
+    return sum(1 for _ in _observed(_entry(d), _entry(d.rotate())))
 
 
 # ---------------------------------------------------------------------------
@@ -161,100 +164,204 @@ class VerificationReport:
         return not self.disagreements
 
 
-def _fixes_intervals(images: tuple[int, ...], intervals: tuple[tuple[int, int], ...]) -> bool:
-    for a, b in intervals:
-        for x in range(a, b + 1):
-            if not a <= images[x - 1] <= b:
+def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Where condition 3 sends the row block [a, b]: onto [n+1-b, n+1-a],
+    so that the complement of sigma fixes the row block."""
+    return tuple(range(n + 1 - block[-1], n + 2 - block[0]))
+
+
+def _meets_condition_3(images: tuple[int, ...], rows: Blocks) -> bool:
+    """True if sigma maps every row block onto its _row_target."""
+    n = len(images)
+    for block in rows:
+        target = _row_target(block, n)
+        low, high = target[0], target[-1]
+        for x in block:
+            if not low <= images[x - 1] <= high:
                 return False
     return True
 
 
+# What relabeling keeps of a term: its block sizes, sorted, and its coefficient.
+Signature = tuple[tuple[int, ...], Fraction]
+
+
+def _stabilizer_order(blocks: Blocks) -> int:
+    """How many sigma relabel the set partition onto itself: permute inside
+    each block, and permute the blocks of each size among themselves."""
+    sizes = Counter(len(block) for block in blocks)
+    return prod(factorial(size) ** m * factorial(m) for size, m in sizes.items())
+
+
+def _signature(blocks: Blocks, coeff: Fraction) -> Signature:
+    return tuple(sorted(len(block) for block in blocks)), coeff
+
+
+def _block_maps(choices) -> Iterator[tuple[int, ...]]:
+    """Every sigma, as its tuple of images, that maps each source block onto
+    one of its candidate target blocks of the same size, no target taken
+    twice: every matching of the blocks, then every bijection inside each.
+
+    choices is a sequence of (source block, candidate target blocks) that
+    covers 1..n.  The state is one partial image and one permutation
+    iterator per block, so nothing proportional to the output is built.
+    """
+    images = [0] * sum(len(source) for source, _ in choices)
+    used: set[tuple[int, ...]] = set()
+    last = len(choices) - 1
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        source, candidates = choices[k]
+        for target in candidates:
+            if target in used:
+                continue
+            used.add(target)
+            for perm in itertools.permutations(target):
+                for e, v in zip(source, perm):
+                    images[e - 1] = v
+                if k == last:
+                    yield tuple(images)
+                else:
+                    yield from extend(k + 1)
+            used.discard(target)
+
+    return extend(0)
+
+
 @dataclass(frozen=True)
 class _Entry:
+    """What the sweep needs of one diagram.
+
+    keys_by_signature groups the keys of the source expansion by their
+    signature, and signatures lists (stabilizer order, signature) once per
+    signature.  atoms group 1..n by the blocks of the expansion's keys that
+    contain each point, so the sigma preserving every such block are the
+    Young subgroup of the atoms.
+    """
+
     diagram: SkewDiagram
     expansion: NCExpansion
-    row_intervals: tuple[tuple[int, int], ...]
-    surviving_intervals: tuple[tuple[int, int], ...]
+    keys_by_signature: dict[Signature, tuple[Blocks, ...]]
+    signatures: tuple[tuple[int, Signature], ...]
+    rows: Blocks
+    atoms: Blocks
     nonsym_ribbon: bool
     rotated: SkewDiagram
 
 
+def _entry(d: SkewDiagram) -> _Entry:
+    src = source_skew_schur(d)
+    keys_by_signature: dict[Signature, list[Blocks]] = {}
+    for key, coeff in src.items():
+        keys_by_signature.setdefault(_signature(key.blocks, coeff), []).append(key.blocks)
+    blocks = {block for keys in keys_by_signature.values() for key in keys for block in key}
+    atoms: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for x in range(1, d.size + 1):
+        atoms.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
+    return _Entry(
+        diagram=d,
+        expansion=src,
+        keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
+        signatures=tuple(
+            (_stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()
+        ),
+        rows=interval_blocks(d.row_lengths().parts),
+        atoms=tuple(tuple(atom) for atom in atoms.values()),
+        nonsym_ribbon=d.is_ribbon() and not d.is_symmetric(),
+        rotated=d.rotate(),
+    )
+
+
+def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
+    """Every sigma with act(sigma, E_D) == E_T, for E_D and E_T the source
+    expansions of first and second.
+
+    relabels_to is a conjunction over the terms of E_D, so deciding one
+    term of E_D first, the pivot, only reorders it: a sigma can pass only
+    if it maps the pivot onto a key of E_T with the pivot's signature.  For
+    each such key those sigma form one coset of the pivot's stabilizer, and
+    each of them is decided by relabels_to; every other sigma fails at the
+    pivot.  The pivot is a key whose signature makes the fewest sigma to
+    decide: stabilizer order times the number of keys of E_T with that
+    signature.
+    """
+    target = second.expansion
+    if len(first.expansion) != len(target):
+        return
+    candidates = second.keys_by_signature
+    _stabilizer, sig = min(
+        first.signatures, key=lambda item: item[0] * len(candidates.get(item[1], ()))
+    )
+    pivot = first.keys_by_signature[sig][0]
+    relabels_to = first.expansion.relabels_to
+    for key in candidates.get(sig, ()):
+        choices = [(block, tuple(c for c in key if len(c) == len(block))) for block in pivot]
+        for images in _block_maps(choices):
+            if relabels_to(images, target):
+                yield images
+
+
 @lru_cache(maxsize=2)
-def _table(n: int):
-    diagrams = tuple(connected_diagrams(n))
-    perms = tuple(itertools.permutations(range(1, n + 1)))
-    entries = []
-    for d in diagrams:
-        src = source_skew_schur(d)
-        rows = interval_blocks(d.row_lengths().parts)
-        surviving = sorted({(block[0], block[-1]) for key in src.support() for block in key.blocks})
-        entries.append(
-            _Entry(
-                diagram=d,
-                expansion=src,
-                row_intervals=tuple((block[0], block[-1]) for block in rows),
-                surviving_intervals=tuple(surviving),
-                nonsym_ribbon=d.is_ribbon() and not d.is_symmetric(),
-                rotated=d.rotate(),
-            )
-        )
-    return diagrams, perms, tuple(entries)
+def _table(n: int) -> tuple[_Entry, ...]:
+    return tuple(_entry(d) for d in connected_diagrams(n))
 
 
 def _verify_rows(n: int, rows: tuple[int, ...], prune: bool):
-    diagrams, perms, entries = _table(n)
-    count = len(diagrams)
-    bars = [tuple(n + 1 - v for v in p) for p in perms]
+    """Sweep the pairs whose first diagram is in rows.
+
+    For each pair only the sigma where predicate or oracle can be true are
+    generated: the observed sigma (_observed) and, for a pair meeting
+    conditions 1 and 2, the predicted coset, where sigma maps each row
+    block [a, b] onto [n+1-b, n+1-a].  The disagreements are the observed
+    sigma not predicted and the predicted sigma not observed; every other
+    labeling agrees, both sides being false.  For same-diagram pairs the
+    block condition is the Young subgroup of the atoms.
+    """
+    entries = _table(n)
+    count = len(entries)
+    per_pair = factorial(n)
     coset_checks = agreements = pair_count = 0
     same_checks = same_equal = same_condition = 0
     disagreements: list[Disagreement] = []
     for i in rows:
         first = entries[i]
         relabels_to = first.expansion.relabels_to
-        bar_fixes = [_fixes_intervals(bar, first.row_intervals) for bar in bars]
-        for j in range(count):
-            second = entries[j]
+        for j, second in enumerate(entries):
+            pair_index = i * count + j
+            bad: list[Disagreement] = []
+            coset_checks += per_pair
             if i == j:
-                for p in perms:
-                    condition = _fixes_intervals(p, first.surviving_intervals)
-                    equal = relabels_to(p, first.expansion)
-                    coset_checks += 1
-                    same_checks += 1
-                    same_equal += equal
-                    same_condition += condition
-                    if condition and not equal:
-                        disagreements.append(
-                            Disagreement(i * count + j, i, j, p, condition, equal)
-                        )
-                    else:
-                        agreements += 1
-                continue
-            pair_count += 1
-            conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
-            if (
-                prune
-                and not overlap_partitions_agree(first.diagram, second.diagram)
-                and not conditions_12
-            ):
-                # The predicate is false throughout, and the pruning lemma
-                # says the oracle is too; the unpruned run cross-checks
-                # this.  Rotation pairs always share overlap partitions, so
-                # a pair meeting conditions 1 and 2 would never get here;
-                # should one, it takes the full check below.
-                coset_checks += len(perms)
-                agreements += len(perms)
-                continue
-            lengths_match = len(first.expansion) == len(second.expansion)
-            for p_index, p in enumerate(perms):
-                predicted = conditions_12 and bar_fixes[p_index]
-                observed = lengths_match and relabels_to(p, second.expansion)
-                coset_checks += 1
-                if predicted == observed:
-                    agreements += 1
-                else:
-                    disagreements.append(
-                        Disagreement(i * count + j, i, j, p, predicted, observed)
-                    )
+                same_checks += per_pair
+                same_equal += sum(1 for _ in _observed(first, first))
+                for images in _block_maps([(atom, (atom,)) for atom in first.atoms]):
+                    same_condition += 1
+                    if not relabels_to(images, first.expansion):
+                        bad.append(Disagreement(pair_index, i, j, images, True, False))
+            else:
+                pair_count += 1
+                conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
+                if (
+                    prune
+                    and not overlap_partitions_agree(first.diagram, second.diagram)
+                    and not conditions_12
+                ):
+                    # The predicate is false throughout, and the pruning
+                    # lemma says the oracle is too; the unpruned run
+                    # cross-checks this.  Rotation pairs always share overlap
+                    # partitions, so a pair meeting conditions 1 and 2 would
+                    # never get here; should one, it takes the full check.
+                    agreements += per_pair
+                    continue
+                for images in _observed(first, second):
+                    if not (conditions_12 and _meets_condition_3(images, first.rows)):
+                        bad.append(Disagreement(pair_index, i, j, images, False, True))
+                if conditions_12:
+                    predicted = [(block, (_row_target(block, n),)) for block in first.rows]
+                    for images in _block_maps(predicted):
+                        if not relabels_to(images, second.expansion):
+                            bad.append(Disagreement(pair_index, i, j, images, True, False))
+            agreements += per_pair - len(bad)
+            disagreements += bad
     return (
         pair_count,
         coset_checks,
@@ -277,7 +384,9 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     Labelings enter only through tau^-1 delta, so one sweep over sigma per
     pair covers all labeling pairs.  Same-diagram pairs are swept too,
     checking that the sufficient block condition never outruns the oracle.
-    With prune=True, pairs with differing overlap partitions are skipped
+    Each sigma where the predicate or the oracle can hold is generated and
+    decided by the oracle; every other sigma counts as an agreement, both
+    sides being false there.  With prune=True, pairs with differing overlap partitions are skipped
     wholesale (the necessary condition says the oracle is false there); the
     unpruned run is ground truth and the pruned one must match it exactly.
     """
@@ -285,8 +394,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         raise ValueError("n must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    diagrams, _perms, _entries = _table(n)
-    count = len(diagrams)
+    count = len(_table(n))
     rows = tuple(range(count))
     if jobs == 1 or count < 2:
         partials = [_verify_rows(n, rows, prune)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import classify, ncsym, sym, textio
 from .classify import LabeledDiagram
@@ -123,7 +124,10 @@ def _cmd_show(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    building it costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="ncskew",
         description="Skew Schur functions in noncommuting variables and their equality classification.",
@@ -188,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Union
 
@@ -178,8 +179,19 @@ def ribbon_schur(alpha: Composition) -> SymExpansion:
     )
 
 
+@lru_cache(maxsize=1024)
+def overlap_partitions(d: SkewDiagram) -> tuple[Partition, ...]:
+    """The k-row overlap partitions of d for k = 1 .. row count.
+
+    Beyond the row count they are empty, and k = 1 gives the row lengths,
+    so the tuple also fixes the row count.
+    """
+    return tuple(d.overlap_partition(k) for k in range(1, d.row_count + 1))
+
+
 def overlap_partitions_agree(d: SkewDiagram, t: SkewDiagram) -> bool:
     """Necessary condition for skew_schur(d) == skew_schur(t): the k-row
-    overlap partitions must agree for every k >= 1."""
-    top = max(d.row_count, t.row_count)
-    return all(d.overlap_partition(k) == t.overlap_partition(k) for k in range(1, top + 1))
+    overlap partitions must agree for every k >= 1 (Reiner, Shaw and van
+    Willigenburg, "Coincidences among skew Schur functions", Adv. Math.
+    2007)."""
+    return overlap_partitions(d) == overlap_partitions(t)

@@ -1,12 +1,19 @@
+import dataclasses
+import itertools
+import math
+
 import pytest
 
+from ncskew import classify
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
-from ncskew.ncsym import source_skew_schur
+from ncskew.ncsym import NCExpansion, skew_schur, source_skew_schur
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition
 from ncskew.classify import (
+    Disagreement,
     LabeledDiagram,
+    VerificationReport,
     count_equivalent,
     expansions_equal,
     failing_condition,
@@ -74,6 +81,23 @@ def test_predicate_against_oracle_directly():
             for tau in symmetric_group(3):
                 b = LabeledDiagram(tau, second)
                 assert predicts_equal(a, b) == expansions_equal(a, b)
+
+
+def test_oracle_agrees_with_built_expansions():
+    """expansions_equal relabels one source expansion onto the other; it
+    must give the verdict of building both labeled expansions and comparing
+    them, same-diagram pairs included."""
+    for n in range(1, 5):
+        diagrams = list(connected_diagrams(n))
+        perms = list(symmetric_group(n))
+        deltas = [perms[0], perms[len(perms) // 2], perms[-1]]
+        for first in diagrams:
+            for second in diagrams:
+                for delta in deltas:
+                    for tau in perms:
+                        a, b = LabeledDiagram(delta, first), LabeledDiagram(tau, second)
+                        built = skew_schur(delta, first) == skew_schur(tau, second)
+                        assert expansions_equal(a, b) == built, (delta, first, tau, second)
 
 
 def test_equality_depends_only_on_relative_labeling():
@@ -165,8 +189,6 @@ def test_verify_structure():
         assert report.ok
         assert report.disagreements == ()
         assert report.pair_count == report.diagram_count * (report.diagram_count - 1)
-        import math
-
         per = math.factorial(n)
         assert report.coset_checks == (report.pair_count + report.diagram_count) * per
         assert report.agreements == report.coset_checks
@@ -192,28 +214,126 @@ def test_verify_prune_and_jobs_change_nothing():
 
 def test_pruning_never_skips_a_rotation_pair(monkeypatch):
     """Even if the overlap test wrongly rejected every pair, the pairs
-    meeting conditions 1 and 2 still get the full check."""
-    import math
-
-    from ncskew import classify
-    from ncskew.ncsym import NCExpansion
-
+    meeting conditions 1 and 2 still get the full check: relabels_to sees
+    exactly the same-diagram and rotation pairs, and every labeling of a
+    rotation pair's predicted coset."""
     n = 5
     checked = []
     relabels_to = NCExpansion.relabels_to
 
-    def counting_relabels_to(*args):
+    def recording_relabels_to(*args):
         checked.append(args)
         return relabels_to(*args)
 
     monkeypatch.setattr(classify, "overlap_partitions_agree", lambda d, t: False)
-    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
+    monkeypatch.setattr(NCExpansion, "relabels_to", recording_relabels_to)
     report = verify_exhaustive(n, prune=True)
     assert report.ok
-    diagrams = connected_diagrams(n)
-    rotation_pairs = sum(1 for d in diagrams if d.is_ribbon() and not d.is_symmetric())
-    same_diagram_pairs = len(diagrams)
-    assert len(checked) == (same_diagram_pairs + rotation_pairs) * math.factorial(n)
+    entries = classify._table(n)
+    diagrams = [entry.diagram for entry in entries]
+    index = {id(entry.expansion): k for k, entry in enumerate(entries)}
+    reached = {}
+    for source, images, target in checked:
+        reached.setdefault((index[id(source)], index[id(target)]), set()).add(images)
+    same_diagram_pairs = {(k, k) for k in range(len(diagrams))}
+    rotation_pairs = {
+        (k, diagrams.index(d.rotate()))
+        for k, d in enumerate(diagrams)
+        if d.is_ribbon() and not d.is_symmetric()
+    }
+    assert rotation_pairs
+    assert set(reached) == same_diagram_pairs | rotation_pairs
+    for k, target in rotation_pairs:
+        rows = SetPartition.from_composition(diagrams[k].row_lengths())
+        predicted = {p.images for p in symmetric_group(n) if p.bar().preserves_blocks(rows)}
+        assert len(predicted) == diagrams[k].row_lengths().factorial()
+        assert predicted <= reached[k, target]
+
+
+def _fixes_intervals(images, intervals):
+    return all(a <= images[x - 1] <= b for a, b in intervals for x in range(a, b + 1))
+
+
+def _scan(n, wrong=False):
+    """The sweep decided labeling by labeling, kept as the kernel's oracle:
+    for every ordered pair of connected diagrams and every sigma in S_n,
+    relabels_to is the observed verdict and the predicate is conditions 1
+    and 2 with sigma's complement fixing the row intervals; for
+    same-diagram pairs the condition is sigma fixing every block of every
+    key of the source expansion.  With wrong=True, condition 3 reads sigma
+    itself instead of its complement and the same-diagram condition holds
+    for every sigma."""
+    diagrams = list(connected_diagrams(n))
+    count = len(diagrams)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    checks = agreements = pairs = same_checks = same_equal = same_condition = 0
+    found = []
+    for i, d in enumerate(diagrams):
+        src = source_skew_schur(d)
+        rows = tuple((b[0], b[-1]) for b in SetPartition.from_composition(d.row_lengths()).blocks)
+        blocks = {(b[0], b[-1]) for key in src.support() for b in key.blocks}
+        nonsym_ribbon = d.is_ribbon() and not d.is_symmetric()
+        for j, t in enumerate(diagrams):
+            target = source_skew_schur(t)
+            pairs += i != j
+            for p in perms:
+                observed = src.relabels_to(p, target)
+                if i == j:
+                    predicted = wrong or _fixes_intervals(p, blocks)
+                    same_checks += 1
+                    same_equal += observed
+                    same_condition += predicted
+                    differ = predicted and not observed
+                else:
+                    read = p if wrong else tuple(n + 1 - v for v in p)
+                    predicted = nonsym_ribbon and t == d.rotate() and _fixes_intervals(read, rows)
+                    differ = predicted != observed
+                checks += 1
+                if differ:
+                    found.append(Disagreement(i * count + j, i, j, p, predicted, observed))
+                else:
+                    agreements += 1
+    return VerificationReport(
+        size=n,
+        diagram_count=count,
+        pair_count=pairs,
+        coset_checks=checks,
+        agreements=agreements,
+        disagreements=tuple(found),
+        same_diagram_checks=same_checks,
+        same_diagram_equal=same_equal,
+        same_diagram_condition=same_condition,
+    )
+
+
+def test_kernel_matches_the_labeling_scan():
+    for n in range(1, 6):
+        scan = _scan(n)
+        for jobs in (1, 2):
+            for prune in (False, True):
+                assert verify_exhaustive(n, jobs, prune) == scan, (n, jobs, prune)
+
+
+def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
+    """With condition 3 read off sigma instead of its complement, and with
+    one atom holding all of 1..n so that every sigma meets the same-diagram
+    condition, both conditions are wrong, and kernel and scan must report
+    the same disagreements of both kinds."""
+    entry = classify._entry
+
+    def one_atom(d):
+        return dataclasses.replace(entry(d), atoms=(tuple(range(1, d.size + 1)),))
+
+    monkeypatch.setattr(classify, "_row_target", lambda block, n: block)
+    monkeypatch.setattr(classify, "_entry", one_atom)
+    classify._table.cache_clear()
+    try:
+        for n in (4, 5):
+            scan = _scan(n, wrong=True)
+            assert {d.first == d.second for d in scan.disagreements} == {True, False}
+            assert verify_exhaustive(n) == scan
+    finally:
+        classify._table.cache_clear()
 
 
 @pytest.mark.slow
@@ -226,6 +346,34 @@ def test_verify_seven_pruned_counters():
         report.same_diagram_equal,
         report.same_diagram_condition,
     ) == (529200, 9182, 8987)
+
+
+@pytest.mark.slow
+def test_verify_seven_unpruned_counters():
+    report = verify_exhaustive(7)
+    assert (report.diagram_count, report.pair_count, report.coset_checks) == (105, 10920, 55566000)
+    assert report.agreements == report.coset_checks and report.ok
+    assert (
+        report.same_diagram_checks,
+        report.same_diagram_equal,
+        report.same_diagram_condition,
+    ) == (529200, 9182, 8987)
+
+
+@pytest.mark.slow
+def test_verify_eight_counters():
+    report = verify_exhaustive(8)
+    assert (report.diagram_count, report.pair_count, report.coset_checks) == (
+        242,
+        58322,
+        2361300480,
+    )
+    assert report.agreements == report.coset_checks and report.ok
+    assert (
+        report.same_diagram_checks,
+        report.same_diagram_equal,
+        report.same_diagram_condition,
+    ) == (9757440, 67504, 65897)
 
 
 def test_verify_validation():

@@ -137,6 +137,25 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once; one call's options must not reach the next
+    code, out, _ = run(capsys, "expand-nc", "--source", "2,1")
+    assert (code, out) == (0, "1/2*h[12/3] - 1/6*h[123]\n")
+    code, out, _ = run(capsys, "expand-nc", "id", "2,2/1")
+    assert (code, out) == (0, "1/2*h[1/23] - 1/6*h[123]\n")
+    code, out, err = run(capsys, "classify", "id", "2,1")
+    assert (code, out) == (2, "")
+    assert "usage: ncskew classify" in err
+    code, out, err = run(capsys, "classify", "id", "2,1", "321", "2,2/1")
+    assert (code, out, err) == (0, "EQUAL\n", "")
+    code, _, _ = run(capsys, "frobnicate")
+    assert code == 2
+    code, out, err = run(capsys, "expand", "2,1", "--format", "machine")
+    assert (code, out, err) == (0, "1\t2,1\n-1\t3\n", "")
+    code, out, _ = run(capsys, "expand", "2,1")
+    assert (code, out) == (0, "h[2,1] - h[3]\n")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

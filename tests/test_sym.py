@@ -4,7 +4,14 @@ import pytest
 
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
-from ncskew.sym import SymExpansion, h, overlap_partitions_agree, ribbon_schur, skew_schur
+from ncskew.sym import (
+    SymExpansion,
+    h,
+    overlap_partitions,
+    overlap_partitions_agree,
+    ribbon_schur,
+    skew_schur,
+)
 
 
 def test_expansion_shell():
@@ -113,6 +120,20 @@ def test_overlap_agreement_detects_differences():
     b = SkewDiagram(Partition((3,)))
     assert not overlap_partitions_agree(a, b)
     assert overlap_partitions_agree(a, a.rotate())
+
+
+def test_overlap_agreement_is_the_all_windows_comparison():
+    """Comparing the cached per-diagram tuples decides exactly what
+    comparing the overlap partitions for every k up to the larger row
+    count does."""
+    diagrams = [d for n in range(1, 7) for d in connected_diagrams(n)]
+    for d in diagrams:
+        assert overlap_partitions(d)[0].parts == tuple(sorted(d.row_lengths().parts, reverse=True))
+    for a in diagrams:
+        for b in diagrams:
+            top = max(a.row_count, b.row_count)
+            every_k = all(a.overlap_partition(k) == b.overlap_partition(k) for k in range(1, top + 1))
+            assert overlap_partitions_agree(a, b) == every_k, (a, b)
 
 
 def test_term_order_in_str():
