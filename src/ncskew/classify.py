@@ -8,6 +8,16 @@ partition of D's row lengths.  The oracle here is direct comparison of the
 h-basis expansions, and `verify_exhaustive` confronts the two over every
 ordered pair of distinct connected diagrams of a given size and every
 labeling coset representative.
+
+Relabeling keeps each term's signature, its sorted block sizes and its
+coefficient, so two source expansions can match under some sigma only when
+their fingerprints agree: the multisets of (signature, number of keys)
+pairs.  The sweep counts a pair that fails conditions 1 and 2 and whose
+fingerprints differ as n! agreements at once, both sides being false for
+every sigma.  The fingerprint determines the commutative image, so this
+filter already skips every pair that the overlap condition of Reiner, Shaw
+and van Willigenburg would, and it needs no unfiltered run to check it;
+the `prune` argument of `verify_exhaustive` has no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, prod
 from typing import Iterator
 
@@ -25,7 +35,6 @@ from .diagrams import SkewDiagram, connected_diagrams
 from .ncsym import NCExpansion, source_skew_schur
 from .permutations import Permutation
 from .setpartitions import Blocks, SetPartition, interval_blocks
-from .sym import overlap_partitions_agree
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,22 @@ class LabeledDiagram:
             raise ValueError("labeled diagrams must be connected")
 
 
-def _check_distinct_pair(a: LabeledDiagram, b: LabeledDiagram) -> None:
-    if a.diagram.size != b.diagram.size:
-        raise ValueError("diagrams of different sizes cannot be compared")
-    if a.diagram == b.diagram:
-        raise ValueError("equal diagrams; use same_diagram_verdict")
+def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Where condition 3 sends the row block [a, b]: onto [n+1-b, n+1-a],
+    so that the complement of sigma fixes the row block."""
+    return tuple(range(n + 1 - block[-1], n + 2 - block[0]))
+
+
+def _meets_condition_3(images: tuple[int, ...], rows: Blocks) -> bool:
+    """True if sigma maps every row block onto its _row_target."""
+    n = len(images)
+    for block in rows:
+        target = _row_target(block, n)
+        low, high = target[0], target[-1]
+        for x in block:
+            if not low <= images[x - 1] <= high:
+                return False
+    return True
 
 
 def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
@@ -56,14 +76,17 @@ def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
     labeled diagrams fails: 1 (source not a nonsymmetric ribbon), 2 (target
     is not the rotation), 3 (complemented relabeling moves a row block), or
     None when all three hold."""
-    _check_distinct_pair(a, b)
+    if a.diagram.size != b.diagram.size:
+        raise ValueError("diagrams of different sizes cannot be compared")
     d = a.diagram
+    if b.diagram == d:
+        raise ValueError("equal diagrams; use same_diagram_verdict")
     if not (d.is_ribbon() and not d.is_symmetric()):
         return 1
     if b.diagram != d.rotate():
         return 2
     sigma = b.labeling.inverse() * a.labeling
-    if not sigma.bar().preserves_blocks(SetPartition.from_composition(d.row_lengths())):
+    if not _meets_condition_3(sigma.images, interval_blocks(d.row_lengths().parts)):
         return 3
     return None
 
@@ -83,6 +106,18 @@ def expansions_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
         raise ValueError("diagrams of different sizes cannot be compared")
     sigma = b.labeling.inverse() * a.labeling
     return source_skew_schur(a.diagram).relabels_to(sigma.images, source_skew_schur(b.diagram))
+
+
+def _atoms(d: SkewDiagram) -> Blocks:
+    """1..n grouped by the blocks of the source expansion's keys that
+    contain each point.  Every block is a union of atoms, so the sigma
+    mapping each atom onto itself, the Young subgroup of the atoms, are
+    exactly the sigma preserving every block of every key."""
+    blocks = {block for key in source_skew_schur(d).support() for block in key.blocks}
+    atoms: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for x in range(1, d.size + 1):
+        atoms.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
+    return tuple(tuple(atom) for atom in atoms.values())
 
 
 @dataclass(frozen=True)
@@ -111,8 +146,10 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
     if sigma.size != d.size:
         raise ValueError(f"labeling size {sigma.size} differs from diagram size {d.size}")
     src = source_skew_schur(d)
-    preserved = all(sigma.preserves_blocks(key) for key in src.support())
-    return SameDiagramVerdict(equal=src.relabels_to(sigma.images, src), blocks_preserved=preserved)
+    return SameDiagramVerdict(
+        equal=src.relabels_to(sigma.images, src),
+        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(_atoms(d))),
+    )
 
 
 def count_equivalent(d: SkewDiagram) -> int:
@@ -164,24 +201,6 @@ class VerificationReport:
         return not self.disagreements
 
 
-def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Where condition 3 sends the row block [a, b]: onto [n+1-b, n+1-a],
-    so that the complement of sigma fixes the row block."""
-    return tuple(range(n + 1 - block[-1], n + 2 - block[0]))
-
-
-def _meets_condition_3(images: tuple[int, ...], rows: Blocks) -> bool:
-    """True if sigma maps every row block onto its _row_target."""
-    n = len(images)
-    for block in rows:
-        target = _row_target(block, n)
-        low, high = target[0], target[-1]
-        for x in block:
-            if not low <= images[x - 1] <= high:
-                return False
-    return True
-
-
 # What relabeling keeps of a term: its block sizes, sorted, and its coefficient.
 Signature = tuple[tuple[int, ...], Fraction]
 
@@ -191,10 +210,6 @@ def _stabilizer_order(blocks: Blocks) -> int:
     each block, and permute the blocks of each size among themselves."""
     sizes = Counter(len(block) for block in blocks)
     return prod(factorial(size) ** m * factorial(m) for size, m in sizes.items())
-
-
-def _signature(blocks: Blocks, coeff: Fraction) -> Signature:
-    return tuple(sorted(len(block) for block in blocks)), coeff
 
 
 def _block_maps(choices) -> Iterator[tuple[int, ...]]:
@@ -234,15 +249,15 @@ class _Entry:
 
     keys_by_signature groups the keys of the source expansion by their
     signature, and signatures lists (stabilizer order, signature) once per
-    signature.  atoms group 1..n by the blocks of the expansion's keys that
-    contain each point, so the sigma preserving every such block are the
-    Young subgroup of the atoms.
+    signature.  fingerprint is the sorted tuple of (signature, number of
+    keys), which every sigma keeps.  atoms are _atoms of the diagram.
     """
 
     diagram: SkewDiagram
     expansion: NCExpansion
     keys_by_signature: dict[Signature, tuple[Blocks, ...]]
     signatures: tuple[tuple[int, Signature], ...]
+    fingerprint: tuple[tuple[Signature, int], ...]
     rows: Blocks
     atoms: Blocks
     nonsym_ribbon: bool
@@ -253,11 +268,8 @@ def _entry(d: SkewDiagram) -> _Entry:
     src = source_skew_schur(d)
     keys_by_signature: dict[Signature, list[Blocks]] = {}
     for key, coeff in src.items():
-        keys_by_signature.setdefault(_signature(key.blocks, coeff), []).append(key.blocks)
-    blocks = {block for keys in keys_by_signature.values() for key in keys for block in key}
-    atoms: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for x in range(1, d.size + 1):
-        atoms.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
+        sig = tuple(sorted(len(block) for block in key.blocks)), coeff
+        keys_by_signature.setdefault(sig, []).append(key.blocks)
     return _Entry(
         diagram=d,
         expansion=src,
@@ -265,8 +277,9 @@ def _entry(d: SkewDiagram) -> _Entry:
         signatures=tuple(
             (_stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()
         ),
+        fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=interval_blocks(d.row_lengths().parts),
-        atoms=tuple(tuple(atom) for atom in atoms.values()),
+        atoms=_atoms(d),
         nonsym_ribbon=d.is_ribbon() and not d.is_symmetric(),
         rotated=d.rotate(),
     )
@@ -306,75 +319,53 @@ def _table(n: int) -> tuple[_Entry, ...]:
     return tuple(_entry(d) for d in connected_diagrams(n))
 
 
-def _verify_rows(n: int, rows: tuple[int, ...], prune: bool):
-    """Sweep the pairs whose first diagram is in rows.
+def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disagreement]]:
+    """Sweep the pairs whose first diagram is in rows; return the report's
+    counters, by field name, and the disagreements found.
 
-    For each pair only the sigma where predicate or oracle can be true are
-    generated: the observed sigma (_observed) and, for a pair meeting
-    conditions 1 and 2, the predicted coset, where sigma maps each row
-    block [a, b] onto [n+1-b, n+1-a].  The disagreements are the observed
-    sigma not predicted and the predicted sigma not observed; every other
-    labeling agrees, both sides being false.  For same-diagram pairs the
-    block condition is the Young subgroup of the atoms.
+    Every pair takes one path, whatever verify_exhaustive's prune says.  A
+    distinct pair that fails conditions 1 and 2 and whose fingerprints
+    differ has no observed sigma and no predicted one, so it counts as n!
+    agreements at once.  For every other pair only the sigma where
+    predicate or oracle can be true are generated: the observed sigma
+    (_observed) and, for a pair meeting conditions 1 and 2, the predicted
+    coset, where sigma maps each row block onto its _row_target.  The
+    disagreements are the observed sigma not predicted and the predicted
+    sigma not observed; every other labeling agrees, both sides being
+    false.  For same-diagram pairs the block condition is the Young
+    subgroup of the atoms.
     """
     entries = _table(n)
     count = len(entries)
     per_pair = factorial(n)
-    coset_checks = agreements = pair_count = 0
-    same_checks = same_equal = same_condition = 0
+    counts: Counter[str] = Counter()
     disagreements: list[Disagreement] = []
     for i in rows:
         first = entries[i]
         relabels_to = first.expansion.relabels_to
+        counts["pair_count"] += count - 1
+        counts["coset_checks"] += count * per_pair
+        counts["same_diagram_checks"] += per_pair
+        counts["same_diagram_equal"] += sum(1 for _ in _observed(first, first))
+        for images in _block_maps([(atom, (atom,)) for atom in first.atoms]):
+            counts["same_diagram_condition"] += 1
+            if not relabels_to(images, first.expansion):
+                disagreements.append(Disagreement(i * count + i, i, i, images, True, False))
         for j, second in enumerate(entries):
+            conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
+            if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
+                continue
             pair_index = i * count + j
-            bad: list[Disagreement] = []
-            coset_checks += per_pair
-            if i == j:
-                same_checks += per_pair
-                same_equal += sum(1 for _ in _observed(first, first))
-                for images in _block_maps([(atom, (atom,)) for atom in first.atoms]):
-                    same_condition += 1
-                    if not relabels_to(images, first.expansion):
-                        bad.append(Disagreement(pair_index, i, j, images, True, False))
-            else:
-                pair_count += 1
-                conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
-                if (
-                    prune
-                    and not overlap_partitions_agree(first.diagram, second.diagram)
-                    and not conditions_12
-                ):
-                    # The predicate is false throughout, and the pruning
-                    # lemma says the oracle is too; the unpruned run
-                    # cross-checks this.  Rotation pairs always share overlap
-                    # partitions, so a pair meeting conditions 1 and 2 would
-                    # never get here; should one, it takes the full check.
-                    agreements += per_pair
-                    continue
-                for images in _observed(first, second):
-                    if not (conditions_12 and _meets_condition_3(images, first.rows)):
-                        bad.append(Disagreement(pair_index, i, j, images, False, True))
-                if conditions_12:
-                    predicted = [(block, (_row_target(block, n),)) for block in first.rows]
-                    for images in _block_maps(predicted):
-                        if not relabels_to(images, second.expansion):
-                            bad.append(Disagreement(pair_index, i, j, images, True, False))
-            agreements += per_pair - len(bad)
-            disagreements += bad
-    return (
-        pair_count,
-        coset_checks,
-        agreements,
-        same_checks,
-        same_equal,
-        same_condition,
-        disagreements,
-    )
-
-
-def _verify_rows_star(args):
-    return _verify_rows(*args)
+            for images in _observed(first, second):
+                if not (conditions_12 and _meets_condition_3(images, first.rows)):
+                    disagreements.append(Disagreement(pair_index, i, j, images, False, True))
+            if conditions_12:
+                predicted = [(block, (_row_target(block, n),)) for block in first.rows]
+                for images in _block_maps(predicted):
+                    if not relabels_to(images, second.expansion):
+                        disagreements.append(Disagreement(pair_index, i, j, images, True, False))
+    counts["agreements"] = counts["coset_checks"] - len(disagreements)
+    return counts, disagreements
 
 
 def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> VerificationReport:
@@ -386,9 +377,10 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     checking that the sufficient block condition never outruns the oracle.
     Each sigma where the predicate or the oracle can hold is generated and
     decided by the oracle; every other sigma counts as an agreement, both
-    sides being false there.  With prune=True, pairs with differing overlap partitions are skipped
-    wholesale (the necessary condition says the oracle is false there); the
-    unpruned run is ground truth and the pruned one must match it exactly.
+    sides being false there.  A pair that fails conditions 1 and 2 and
+    whose fingerprints differ is decided whole, in one step, on every run.
+    prune has no effect: the fingerprint filter skips every pair that the
+    overlap condition once pruned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -397,23 +389,26 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     count = len(_table(n))
     rows = tuple(range(count))
     if jobs == 1 or count < 2:
-        partials = [_verify_rows(n, rows, prune)]
+        partials = [_verify_rows(n, rows)]
     else:
         chunks = [rows[k::jobs] for k in range(jobs) if rows[k::jobs]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(_verify_rows_star, [(n, c, prune) for c in chunks]))
+            partials = list(pool.map(partial(_verify_rows, n), chunks))
+    total: Counter[str] = Counter()
+    for counts, _ in partials:
+        total.update(counts)
     disagreements = sorted(
-        (d for part in partials for d in part[6]),
+        (d for _, found in partials for d in found),
         key=lambda d: (d.pair_index, d.labeling),
     )
     return VerificationReport(
         size=n,
         diagram_count=count,
-        pair_count=sum(p[0] for p in partials),
-        coset_checks=sum(p[1] for p in partials),
-        agreements=sum(p[2] for p in partials),
+        pair_count=total["pair_count"],
+        coset_checks=total["coset_checks"],
+        agreements=total["agreements"],
         disagreements=tuple(disagreements),
-        same_diagram_checks=sum(p[3] for p in partials),
-        same_diagram_equal=sum(p[4] for p in partials),
-        same_diagram_condition=sum(p[5] for p in partials),
+        same_diagram_checks=total["same_diagram_checks"],
+        same_diagram_equal=total["same_diagram_equal"],
+        same_diagram_condition=total["same_diagram_condition"],
     )

@@ -10,7 +10,7 @@ be empty are rejected outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .compositions import Composition, Partition, WeakComposition, compositions
 
@@ -138,6 +138,19 @@ class SkewDiagram:
     def row_count(self) -> int:
         return self.outer.length
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[int, int]]) -> SkewDiagram:
+        """The diagram whose rows, top down, occupy the given (first column,
+        last column) intervals; the inverse of rows().
+
+        >>> SkewDiagram.from_rows([(2, 2), (1, 2)]).rows()
+        ((2, 2), (1, 2))
+        """
+        rows = tuple(rows)
+        lam = tuple(e for _, e in rows)
+        mu = tuple(s - 1 for s, _ in rows if s > 1)
+        return cls(Partition(lam), Partition(mu))
+
     def rows(self) -> tuple[tuple[int, int], ...]:
         """The (first column, last column) interval of each row, top down."""
         lam, mu = self.outer.parts, self.inner.parts
@@ -169,10 +182,8 @@ class SkewDiagram:
         True
         """
         width = self.outer.parts[0]
-        flipped = tuple((width + 1 - e, width + 1 - s) for s, e in reversed(self.rows()))
-        lam = tuple(e for _, e in flipped)
-        mu = tuple(s - 1 for s, _ in flipped)
-        return SkewDiagram(Partition(lam), Partition(tuple(m for m in mu if m)))
+        flipped = ((width + 1 - e, width + 1 - s) for s, e in reversed(self.rows()))
+        return SkewDiagram.from_rows(flipped)
 
     def is_symmetric(self) -> bool:
         """True if the diagram equals its own rotation."""
@@ -247,17 +258,11 @@ def ribbon(alpha: Composition) -> SkewDiagram:
     """
     if not alpha.parts:
         raise ValueError("a ribbon needs at least one row")
-    rows_bottom_up = []
-    start, end = 1, alpha.parts[-1]
-    rows_bottom_up.append((start, end))
+    rows_bottom_up = [(1, alpha.parts[-1])]
     for part in alpha.parts[-2::-1]:
-        start = end
-        end = start + part - 1
-        rows_bottom_up.append((start, end))
-    rows = rows_bottom_up[::-1]
-    lam = tuple(e for _, e in rows)
-    mu = tuple(s - 1 for s, _ in rows)
-    return SkewDiagram(Partition(lam), Partition(tuple(m for m in mu if m)))
+        start = rows_bottom_up[-1][1]
+        rows_bottom_up.append((start, start + part - 1))
+    return SkewDiagram.from_rows(rows_bottom_up[::-1])
 
 
 def connected_diagrams(n: int) -> list[SkewDiagram]:
@@ -281,9 +286,5 @@ def connected_diagrams(n: int) -> list[SkewDiagram]:
                 for start in range(max(below_start, below_end - part + 1), below_end + 1):
                     grown.append(stack + [(start, start + part - 1)])
             stacks = grown
-        for stack in stacks:
-            rows = stack[::-1]
-            lam = tuple(e for _, e in rows)
-            mu = tuple(s - 1 for s, _ in rows)
-            out.append(SkewDiagram(Partition(lam), Partition(tuple(m for m in mu if m))))
+        out.extend(SkewDiagram.from_rows(stack[::-1]) for stack in stacks)
     return out

@@ -7,9 +7,10 @@ import pytest
 from ncskew import classify
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
-from ncskew.ncsym import NCExpansion, skew_schur, source_skew_schur
+from ncskew.ncsym import NCExpansion, skew_schur, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition
+from ncskew.sym import overlap_partitions
 from ncskew.classify import (
     Disagreement,
     LabeledDiagram,
@@ -212,26 +213,33 @@ def test_verify_prune_and_jobs_change_nothing():
     assert verify_exhaustive(4, jobs=2, prune=True) == base
 
 
-def test_pruning_never_skips_a_rotation_pair(monkeypatch):
-    """Even if the overlap test wrongly rejected every pair, the pairs
-    meeting conditions 1 and 2 still get the full check: relabels_to sees
+def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
+    """Even if every diagram had a fingerprint of its own, the pairs meeting
+    conditions 1 and 2 would still get the full check: relabels_to sees
     exactly the same-diagram and rotation pairs, and every labeling of a
     rotation pair's predicted coset."""
     n = 5
     checked = []
     relabels_to = NCExpansion.relabels_to
+    entry = classify._entry
 
     def recording_relabels_to(*args):
         checked.append(args)
         return relabels_to(*args)
 
-    monkeypatch.setattr(classify, "overlap_partitions_agree", lambda d, t: False)
+    def own_fingerprint(d):
+        return dataclasses.replace(entry(d), fingerprint=d)
+
+    monkeypatch.setattr(classify, "_entry", own_fingerprint)
     monkeypatch.setattr(NCExpansion, "relabels_to", recording_relabels_to)
-    report = verify_exhaustive(n, prune=True)
-    assert report.ok
-    entries = classify._table(n)
-    diagrams = [entry.diagram for entry in entries]
-    index = {id(entry.expansion): k for k, entry in enumerate(entries)}
+    classify._table.cache_clear()
+    try:
+        report = verify_exhaustive(n)
+        entries = classify._table(n)
+    finally:
+        classify._table.cache_clear()
+    diagrams = [e.diagram for e in entries]
+    index = {id(e.expansion): k for k, e in enumerate(entries)}
     reached = {}
     for source, images, target in checked:
         reached.setdefault((index[id(source)], index[id(target)]), set()).add(images)
@@ -248,6 +256,23 @@ def test_pruning_never_skips_a_rotation_pair(monkeypatch):
         predicted = {p.images for p in symmetric_group(n) if p.bar().preserves_blocks(rows)}
         assert len(predicted) == diagrams[k].row_lengths().factorial()
         assert predicted <= reached[k, target]
+
+
+def test_fingerprints_refine_the_overlap_partitions_and_match_the_commutative_image():
+    """Over every ordered pair of connected diagrams with n <= 7: diagrams
+    whose overlap partitions differ have different fingerprints, so the
+    fingerprint filter skips every pair the overlap condition would; and
+    two fingerprints are equal exactly when the commutative images are."""
+    for n in range(1, 8):
+        entries = classify._table(n)
+        overlaps = [overlap_partitions(e.diagram) for e in entries]
+        images = [to_commutative(e.expansion) for e in entries]
+        for i, first in enumerate(entries):
+            for j, second in enumerate(entries):
+                same_fingerprint = first.fingerprint == second.fingerprint
+                if overlaps[i] != overlaps[j]:
+                    assert not same_fingerprint, (first.diagram, second.diagram)
+                assert same_fingerprint == (images[i] == images[j]), (first.diagram, second.diagram)
 
 
 def _fixes_intervals(images, intervals):
@@ -326,6 +351,12 @@ def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
 
     monkeypatch.setattr(classify, "_row_target", lambda block, n: block)
     monkeypatch.setattr(classify, "_entry", one_atom)
+    # failing_condition reads the same condition 3 as the sweep, so the
+    # mutant makes it disagree with the oracle on the worked pair too.
+    a = LabeledDiagram(Permutation.identity(3), HOOK)
+    b = LabeledDiagram(Permutation((3, 2, 1)), ROTATED)
+    assert expansions_equal(a, b)
+    assert failing_condition(a, b) == 3
     classify._table.cache_clear()
     try:
         for n in (4, 5):

@@ -102,9 +102,15 @@ def test_verify(capsys):
 
 
 def test_verify_cap(capsys):
-    code, _, err = run(capsys, "verify", "7")
+    code, _, err = run(capsys, "verify", "9")
     assert code == 1
     assert "--force" in err
+
+
+def test_verify_seven_runs_without_force(capsys):
+    code, out, _ = run(capsys, "verify", "7")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_expand_nc_tall_column(capsys):
