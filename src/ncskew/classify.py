@@ -18,6 +18,19 @@ every sigma.  The fingerprint determines the commutative image, so this
 filter already skips every pair that the overlap condition of Reiner, Shaw
 and van Willigenburg would, and it needs no unfiltered run to check it;
 the `prune` argument of `verify_exhaustive` has no effect.
+
+The sweep also works modulo the Young subgroup Y of the atoms: the points
+grouped by the blocks of the source expansion's keys that contain them.
+Atoms refine every key, so for y in Y, sigma y (x -> sigma(y(x)), as in
+`relabel`) relabels E_D exactly as sigma does; every atom lies inside one
+row block, so condition 3, which reads only the image of each row block,
+cannot tell sigma y from sigma either.  Every verdict of the sweep is then
+constant on each right coset sigma Y, and one representative per coset is
+decided by relabels_to and counted |Y| times.  The run does not take the
+argument on trust: each diagram's atoms pass a certificate first (every
+adjacent transposition inside an atom fixes E_D, and every atom lies
+inside one row block), and a diagram whose atoms fail it is swept with
+singleton cells, one sigma at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, prod
@@ -159,7 +172,7 @@ def count_equivalent(d: SkewDiagram) -> int:
     lengths."""
     if not (d.is_connected() and d.is_ribbon() and not d.is_symmetric()):
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    return sum(1 for _ in _observed(_entry(d), _entry(d.rotate())))
+    return sum(_young_order(pieces) for _, pieces in _observed(_entry(d), _entry(d.rotate())))
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +225,62 @@ def _stabilizer_order(blocks: Blocks) -> int:
     return prod(factorial(size) ** m * factorial(m) for size, m in sizes.items())
 
 
-def _block_maps(choices) -> Iterator[tuple[int, ...]]:
-    """Every sigma, as its tuple of images, that maps each source block onto
-    one of its candidate target blocks of the same size, no target taken
-    twice: every matching of the blocks, then every bijection inside each.
+def _young_order(pieces: Blocks) -> int:
+    """The order of the Young subgroup of the pieces."""
+    return prod(factorial(len(piece)) for piece in pieces)
 
-    choices is a sequence of (source block, candidate target blocks) that
-    covers 1..n.  The state is one partial image and one permutation
+
+def _split(block: tuple[int, ...], cells: Blocks) -> Blocks:
+    """The block cut along the cells: its nonempty intersection with each."""
+    return tuple(piece for cell in cells if (piece := tuple(x for x in cell if x in block)))
+
+
+def _pieces(choices) -> Blocks:
+    """All the pieces of a _block_maps choices sequence, block by block."""
+    return tuple(piece for pieces, _ in choices for piece in pieces)
+
+
+def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every way to deal the values out to the pieces, each piece getting
+    as many as it holds, in increasing order."""
+    if len(pieces) == 1:
+        yield (values,)
+        return
+    for chosen in itertools.combinations(values, len(pieces[0])):
+        rest = tuple(v for v in values if v not in chosen)
+        for tail in _spread(rest, pieces[1:]):
+            yield (chosen,) + tail
+
+
+def _block_maps(choices) -> Iterator[tuple[int, ...]]:
+    """One sigma, as its tuple of images, per right coset sigma Y of the
+    Young subgroup Y of the pieces: the sigma that map each source block
+    onto one of its candidate target blocks of the same size, no target
+    taken twice, and are increasing on every piece.
+
+    choices is a sequence of (source block cut into pieces, candidate
+    target blocks), whose blocks cover 1..n.  Composing with y in Y keeps
+    the image of every block, so each sigma of the cosets enumerated is
+    sigma' y for exactly one sigma' yielded: every matching of the blocks,
+    then every combination of the target per piece, where one piece per
+    block would give every bijection.  With singleton pieces Y is trivial
+    and every sigma is yielded.  The state is one partial image and one
     iterator per block, so nothing proportional to the output is built.
     """
-    images = [0] * sum(len(source) for source, _ in choices)
+    images = [0] * sum(len(piece) for piece in _pieces(choices))
     used: set[tuple[int, ...]] = set()
     last = len(choices) - 1
 
     def extend(k: int) -> Iterator[tuple[int, ...]]:
-        source, candidates = choices[k]
+        pieces, candidates = choices[k]
         for target in candidates:
             if target in used:
                 continue
             used.add(target)
-            for perm in itertools.permutations(target):
-                for e, v in zip(source, perm):
-                    images[e - 1] = v
+            for dealt in _spread(target, pieces):
+                for piece, values in zip(pieces, dealt):
+                    for e, v in zip(piece, values):
+                        images[e - 1] = v
                 if k == last:
                     yield tuple(images)
                 else:
@@ -243,6 +290,43 @@ def _block_maps(choices) -> Iterator[tuple[int, ...]]:
     return extend(0)
 
 
+def _coset(images: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[int, ...]]:
+    """Every sigma y with y in the Young subgroup of the pieces, for sigma
+    given by its images: the sigma mapping each piece where sigma does."""
+    return _block_maps(
+        [
+            (tuple((x,) for x in piece), (tuple(sorted(images[x - 1] for x in piece)),))
+            for piece in pieces
+        ]
+    )
+
+
+def _certified_cells(expansion: NCExpansion, atoms: Blocks, rows: Blocks) -> Blocks:
+    """The atoms, if this run proves that sigma y decides every check as
+    sigma does, for y in their Young subgroup; else singletons, whose
+    Young subgroup is trivial.
+
+    Two things are checked.  Every adjacent transposition inside an atom
+    fixes the expansion; those generate the Young subgroup, so it fixes the
+    expansion, and act(sigma y, E_D) = act(sigma, E_D).  Every atom lies
+    inside one row block, so y keeps each row block and condition 3 sees
+    the same sigma(block) for sigma y as for sigma.  The same-diagram block
+    condition is membership in the Young subgroup, which no y changes.
+    """
+    n = sum(len(atom) for atom in atoms)
+    singletons = tuple((x,) for x in range(1, n + 1))
+    row_of = {x: k for k, row in enumerate(rows) for x in row}
+    for atom in atoms:
+        if len({row_of[x] for x in atom}) > 1:
+            return singletons
+        for a, b in zip(atom, atom[1:]):
+            images = list(range(1, n + 1))
+            images[a - 1], images[b - 1] = b, a
+            if not expansion.relabels_to(tuple(images), expansion):
+                return singletons
+    return atoms
+
+
 @dataclass(frozen=True)
 class _Entry:
     """What the sweep needs of one diagram.
@@ -250,7 +334,9 @@ class _Entry:
     keys_by_signature groups the keys of the source expansion by their
     signature, and signatures lists (stabilizer order, signature) once per
     signature.  fingerprint is the sorted tuple of (signature, number of
-    keys), which every sigma keeps.  atoms are _atoms of the diagram.
+    keys), which every sigma keeps.  atoms are _atoms of the diagram, and
+    cells are the atoms as _certified_cells proves them on construction,
+    or singletons.
     """
 
     diagram: SkewDiagram
@@ -262,6 +348,10 @@ class _Entry:
     atoms: Blocks
     nonsym_ribbon: bool
     rotated: SkewDiagram
+    cells: Blocks = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", _certified_cells(self.expansion, self.atoms, self.rows))
 
 
 def _entry(d: SkewDiagram) -> _Entry:
@@ -285,18 +375,23 @@ def _entry(d: SkewDiagram) -> _Entry:
     )
 
 
-def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
+def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], Blocks]]:
     """Every sigma with act(sigma, E_D) == E_T, for E_D and E_T the source
-    expansions of first and second.
+    expansions of first and second, one right coset of a Young subgroup at
+    a time: each item is a representative and the pieces whose Young
+    subgroup Y makes up its coset sigma Y.
 
     relabels_to is a conjunction over the terms of E_D, so deciding one
     term of E_D first, the pivot, only reorders it: a sigma can pass only
     if it maps the pivot onto a key of E_T with the pivot's signature.  For
-    each such key those sigma form one coset of the pivot's stabilizer, and
-    each of them is decided by relabels_to; every other sigma fails at the
-    pivot.  The pivot is a key whose signature makes the fewest sigma to
-    decide: stabilizer order times the number of keys of E_T with that
-    signature.
+    each such key those sigma form one coset of the pivot's stabilizer.
+    The pieces are the pivot's blocks cut along first's cells; their Young
+    subgroup fixes the pivot and, the cells being certified, E_D, so
+    relabels_to decides a whole coset sigma Y as it decides sigma, and each
+    representative from _block_maps is decided by relabels_to.  Every other
+    sigma fails at the pivot.  The pivot is a key whose signature makes the
+    fewest sigma to decide: stabilizer order times the number of keys of
+    E_T with that signature.
     """
     target = second.expansion
     if len(first.expansion) != len(target):
@@ -306,12 +401,17 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
         first.signatures, key=lambda item: item[0] * len(candidates.get(item[1], ()))
     )
     pivot = first.keys_by_signature[sig][0]
+    split = [_split(block, first.cells) for block in pivot]
+    pieces = sum(split, ())
     relabels_to = first.expansion.relabels_to
     for key in candidates.get(sig, ()):
-        choices = [(block, tuple(c for c in key if len(c) == len(block))) for block in pivot]
+        choices = [
+            (block_pieces, tuple(c for c in key if len(c) == len(block)))
+            for block, block_pieces in zip(pivot, split)
+        ]
         for images in _block_maps(choices):
             if relabels_to(images, target):
-                yield images
+                yield images, pieces
 
 
 @lru_cache(maxsize=2)
@@ -334,36 +434,57 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     sigma not observed; every other labeling agrees, both sides being
     false.  For same-diagram pairs the block condition is the Young
     subgroup of the atoms.
+
+    All three sets are unions of right cosets sigma Y, for Y the Young
+    subgroup of the first diagram's cells cut along the blocks enumerated,
+    and both verdicts are constant on each coset (_certified_cells).  So
+    _block_maps yields one representative per coset, relabels_to decides
+    it, and it counts |Y| times; a disagreeing representative is expanded
+    back into the |Y| labelings of its coset, so the report is the one a
+    sigma by sigma sweep gives.
     """
     entries = _table(n)
     count = len(entries)
     per_pair = factorial(n)
+    index = {entry.diagram: k for k, entry in enumerate(entries)}
     counts: Counter[str] = Counter()
     disagreements: list[Disagreement] = []
+
+    def disagree(i: int, j: int, images: tuple[int, ...], pieces: Blocks, predicted: bool) -> None:
+        disagreements.extend(
+            Disagreement(i * count + j, i, j, sigma, predicted, not predicted)
+            for sigma in _coset(images, pieces)
+        )
+
     for i in rows:
         first = entries[i]
         relabels_to = first.expansion.relabels_to
+        rotation = index[first.rotated] if first.nonsym_ribbon else None
         counts["pair_count"] += count - 1
         counts["coset_checks"] += count * per_pair
         counts["same_diagram_checks"] += per_pair
-        counts["same_diagram_equal"] += sum(1 for _ in _observed(first, first))
-        for images in _block_maps([(atom, (atom,)) for atom in first.atoms]):
-            counts["same_diagram_condition"] += 1
+        for _images, pieces in _observed(first, first):
+            counts["same_diagram_equal"] += _young_order(pieces)
+        condition = [(_split(atom, first.cells), (atom,)) for atom in first.atoms]
+        pieces = _pieces(condition)
+        for images in _block_maps(condition):
+            counts["same_diagram_condition"] += _young_order(pieces)
             if not relabels_to(images, first.expansion):
-                disagreements.append(Disagreement(i * count + i, i, i, images, True, False))
+                disagree(i, i, images, pieces, True)
         for j, second in enumerate(entries):
-            conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
-            if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
+            if j == i or (j != rotation and first.fingerprint != second.fingerprint):
                 continue
-            pair_index = i * count + j
-            for images in _observed(first, second):
-                if not (conditions_12 and _meets_condition_3(images, first.rows)):
-                    disagreements.append(Disagreement(pair_index, i, j, images, False, True))
-            if conditions_12:
-                predicted = [(block, (_row_target(block, n),)) for block in first.rows]
+            for images, pieces in _observed(first, second):
+                if not (j == rotation and _meets_condition_3(images, first.rows)):
+                    disagree(i, j, images, pieces, False)
+            if j == rotation:
+                predicted = [
+                    (_split(block, first.cells), (_row_target(block, n),)) for block in first.rows
+                ]
+                pieces = _pieces(predicted)
                 for images in _block_maps(predicted):
                     if not relabels_to(images, second.expansion):
-                        disagreements.append(Disagreement(pair_index, i, j, images, True, False))
+                        disagree(i, j, images, pieces, True)
     counts["agreements"] = counts["coset_checks"] - len(disagreements)
     return counts, disagreements
 
@@ -376,9 +497,11 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     pair covers all labeling pairs.  Same-diagram pairs are swept too,
     checking that the sufficient block condition never outruns the oracle.
     Each sigma where the predicate or the oracle can hold is generated and
-    decided by the oracle; every other sigma counts as an agreement, both
-    sides being false there.  A pair that fails conditions 1 and 2 and
-    whose fingerprints differ is decided whole, in one step, on every run.
+    decided by the oracle, one per right coset of the Young subgroup of the
+    certified atoms, which stands for its whole coset; every other sigma
+    counts as an agreement, both sides being false there.  A pair that
+    fails conditions 1 and 2 and whose fingerprints differ is decided
+    whole, in one step, on every run.
     prune has no effect: the fingerprint filter skips every pair that the
     overlap condition once pruned.
     """

@@ -17,7 +17,7 @@ from .ncsym import to_commutative
 from .permutations import Permutation
 from .textio import ParseError
 
-VERIFY_CAP = 8
+VERIFY_CAP = 10
 
 
 def _print_expansion(e, machine: bool) -> None:
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help=f"allow n beyond {VERIFY_CAP}; each further cell makes the run about six times longer",
+        help=f"allow n beyond {VERIFY_CAP}; each further cell makes the run about four times longer",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -19,6 +19,11 @@ from .compositions import Composition, Partition, WeakComposition, compositions
 EXPANSION_TERM_CAP = 2**16
 
 
+def _padded(inner: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The inner shape's parts padded with zeros to one per outer row."""
+    return inner + (0,) * (length - len(inner))
+
+
 @dataclass(frozen=True)
 class SubscriptMatrix:
     """The square matrix of Jacobi-Trudi subscripts of a skew diagram.
@@ -120,7 +125,7 @@ class SkewDiagram:
             raise ValueError("a skew diagram needs at least one row")
         if len(mu) > len(lam) or any(m > l for l, m in zip(lam, mu)):
             raise ValueError(f"inner shape {mu!r} does not fit inside outer shape {lam!r}")
-        padded = mu + (0,) * (len(lam) - len(mu))
+        padded = _padded(mu, len(lam))
         if any(l == m for l, m in zip(lam, padded)):
             raise ValueError(f"shape {lam!r}/{mu!r} has an empty row")
         offset = padded[-1]
@@ -154,8 +159,7 @@ class SkewDiagram:
     def rows(self) -> tuple[tuple[int, int], ...]:
         """The (first column, last column) interval of each row, top down."""
         lam, mu = self.outer.parts, self.inner.parts
-        padded = mu + (0,) * (len(lam) - len(mu))
-        return tuple((m + 1, l) for l, m in zip(lam, padded))
+        return tuple((m + 1, l) for l, m in zip(lam, _padded(mu, len(lam))))
 
     def row_lengths(self) -> Composition:
         """Row lengths read top to bottom.
@@ -232,7 +236,7 @@ class SkewDiagram:
         """
         lam, mu = self.outer.parts, self.inner.parts
         ell = len(lam)
-        padded = mu + (0,) * (ell - len(mu))
+        padded = _padded(mu, ell)
         return SubscriptMatrix(
             tuple(
                 tuple(lam[i] - padded[j] - (i + 1) + (j + 1) for j in range(ell))

@@ -9,7 +9,7 @@ from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
 from ncskew.ncsym import NCExpansion, skew_schur, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation, symmetric_group
-from ncskew.setpartitions import SetPartition
+from ncskew.setpartitions import SetPartition, relabel, set_partitions
 from ncskew.sym import overlap_partitions
 from ncskew.classify import (
     Disagreement,
@@ -216,8 +216,11 @@ def test_verify_prune_and_jobs_change_nothing():
 def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
     """Even if every diagram had a fingerprint of its own, the pairs meeting
     conditions 1 and 2 would still get the full check: relabels_to sees
-    exactly the same-diagram and rotation pairs, and every labeling of a
-    rotation pair's predicted coset."""
+    exactly the same-diagram and rotation pairs, and the labelings it sees
+    for a rotation pair represent its whole predicted coset.  relabels_to
+    decides one sigma per right coset of the Young subgroup of the first
+    diagram's cells, so a predicted sigma is covered when some sigma that
+    reached relabels_to maps every cell onto the same image set."""
     n = 5
     checked = []
     relabels_to = NCExpansion.relabels_to
@@ -251,11 +254,17 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
     }
     assert rotation_pairs
     assert set(reached) == same_diagram_pairs | rotation_pairs
+
+    def cell_images(images, cells):
+        return tuple(frozenset(images[x - 1] for x in cell) for cell in cells)
+
     for k, target in rotation_pairs:
         rows = SetPartition.from_composition(diagrams[k].row_lengths())
         predicted = {p.images for p in symmetric_group(n) if p.bar().preserves_blocks(rows)}
         assert len(predicted) == diagrams[k].row_lengths().factorial()
-        assert predicted <= reached[k, target]
+        cells = entries[k].cells
+        covered = {cell_images(images, cells) for images in reached[k, target]}
+        assert {cell_images(images, cells) for images in predicted} <= covered
 
 
 def test_fingerprints_refine_the_overlap_partitions_and_match_the_commutative_image():
@@ -279,15 +288,15 @@ def _fixes_intervals(images, intervals):
     return all(a <= images[x - 1] <= b for a, b in intervals for x in range(a, b + 1))
 
 
-def _scan(n, wrong=False):
+def _scan(n, wrong=False, atoms=None):
     """The sweep decided labeling by labeling, kept as the kernel's oracle:
     for every ordered pair of connected diagrams and every sigma in S_n,
     relabels_to is the observed verdict and the predicate is conditions 1
     and 2 with sigma's complement fixing the row intervals; for
     same-diagram pairs the condition is sigma fixing every block of every
-    key of the source expansion.  With wrong=True, condition 3 reads sigma
-    itself instead of its complement and the same-diagram condition holds
-    for every sigma."""
+    key of the source expansion, or every block of atoms(d) when atoms is
+    given.  With wrong=True, condition 3 reads sigma itself instead of its
+    complement and the same-diagram condition holds for every sigma."""
     diagrams = list(connected_diagrams(n))
     count = len(diagrams)
     perms = list(itertools.permutations(range(1, n + 1)))
@@ -297,6 +306,8 @@ def _scan(n, wrong=False):
         src = source_skew_schur(d)
         rows = tuple((b[0], b[-1]) for b in SetPartition.from_composition(d.row_lengths()).blocks)
         blocks = {(b[0], b[-1]) for key in src.support() for b in key.blocks}
+        if atoms is not None:
+            blocks = {(b[0], b[-1]) for b in atoms(d)}
         nonsym_ribbon = d.is_ribbon() and not d.is_symmetric()
         for j, t in enumerate(diagrams):
             target = source_skew_schur(t)
@@ -331,12 +342,186 @@ def _scan(n, wrong=False):
     )
 
 
+def _per_coset_block_maps(choices):
+    """Every sigma mapping each source block onto one of its candidate
+    target blocks, no target taken twice: every bijection inside each."""
+    images = [0] * sum(len(source) for source, _ in choices)
+    used = set()
+
+    def extend(k):
+        source, candidates = choices[k]
+        for target in candidates:
+            if target in used:
+                continue
+            used.add(target)
+            for perm in itertools.permutations(target):
+                for e, v in zip(source, perm):
+                    images[e - 1] = v
+                if k == len(choices) - 1:
+                    yield tuple(images)
+                else:
+                    yield from extend(k + 1)
+            used.discard(target)
+
+    return extend(0)
+
+
+def _per_coset_observed(first, second):
+    """Every sigma with act(sigma, E_D) == E_T, decided one at a time over
+    the cosets of the pivot's stabilizer."""
+    target = second.expansion
+    if len(first.expansion) != len(target):
+        return
+    candidates = second.keys_by_signature
+    _stabilizer, sig = min(
+        first.signatures, key=lambda item: item[0] * len(candidates.get(item[1], ()))
+    )
+    pivot = first.keys_by_signature[sig][0]
+    for key in candidates.get(sig, ()):
+        choices = [(block, tuple(c for c in key if len(c) == len(block))) for block in pivot]
+        for images in _per_coset_block_maps(choices):
+            if first.expansion.relabels_to(images, target):
+                yield images
+
+
+def _per_coset(n):
+    """The indexed sweep kernel without the Young subgroup quotient, kept as
+    an oracle for it: the sigma of every pivot coset, of every predicted
+    coset and of the atoms' Young subgroup are decided one at a time."""
+    entries = classify._table(n)
+    count = len(entries)
+    per_pair = math.factorial(n)
+    found = []
+    pairs = same_equal = same_condition = 0
+    for i, first in enumerate(entries):
+        pairs += count - 1
+        same_equal += sum(1 for _ in _per_coset_observed(first, first))
+        for images in _per_coset_block_maps([(atom, (atom,)) for atom in first.atoms]):
+            same_condition += 1
+            if not first.expansion.relabels_to(images, first.expansion):
+                found.append(Disagreement(i * count + i, i, i, images, True, False))
+        for j, second in enumerate(entries):
+            conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
+            if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
+                continue
+            for images in _per_coset_observed(first, second):
+                if not (conditions_12 and classify._meets_condition_3(images, first.rows)):
+                    found.append(Disagreement(i * count + j, i, j, images, False, True))
+            if conditions_12:
+                predicted = [(block, (classify._row_target(block, n),)) for block in first.rows]
+                for images in _per_coset_block_maps(predicted):
+                    if not first.expansion.relabels_to(images, second.expansion):
+                        found.append(Disagreement(i * count + j, i, j, images, True, False))
+    checks = count * count * per_pair
+    return VerificationReport(
+        size=n,
+        diagram_count=count,
+        pair_count=pairs,
+        coset_checks=checks,
+        agreements=checks - len(found),
+        disagreements=tuple(sorted(found, key=lambda d: (d.pair_index, d.labeling))),
+        same_diagram_checks=count * per_pair,
+        same_diagram_equal=same_equal,
+        same_diagram_condition=same_condition,
+    )
+
+
 def test_kernel_matches_the_labeling_scan():
     for n in range(1, 6):
         scan = _scan(n)
         for jobs in (1, 2):
             for prune in (False, True):
                 assert verify_exhaustive(n, jobs, prune) == scan, (n, jobs, prune)
+
+
+def test_kernel_matches_the_per_coset_kernel():
+    for n in range(1, 8):
+        per_coset = _per_coset(n)
+        report = verify_exhaustive(n)
+        assert report == per_coset and repr(report) == repr(per_coset), n
+
+
+def test_right_multiplication_convention():
+    """sigma y, the sigma the quotient stands for, is x -> sigma(y(x)):
+    Permutation's product, and relabeling by it is relabeling by y, then by
+    sigma.  So y fixing every key of E_D makes sigma y relabel E_D as sigma
+    does, and _coset yields exactly the sigma y with y in the pieces' Young
+    subgroup."""
+    perms = list(symmetric_group(4))
+    partitions = [pi.blocks for pi in set_partitions(4)]
+    for sigma in perms:
+        for y in perms:
+            composed = (sigma * y).images
+            assert composed == tuple(sigma.images[y.images[x] - 1] for x in range(4))
+            for blocks in partitions:
+                assert relabel(composed, blocks) == relabel(sigma.images, relabel(y.images, blocks))
+    for pieces in (((1, 3), (2,), (4,)), ((1, 2, 4), (3,)), ((1,), (2,), (3,), (4,))):
+        young = [y for y in perms if y.preserves_blocks(SetPartition._trusted(pieces))]
+        for sigma in perms[::5]:
+            expected = {(sigma * y).images for y in young}
+            coset = list(classify._coset(sigma.images, pieces))
+            assert len(coset) == len(young) == classify._young_order(pieces)
+            assert set(coset) == expected
+    for n in range(1, 7):
+        for e in classify._table(n):
+            for cell in e.cells:
+                for a, b in zip(cell, cell[1:]):
+                    swap = list(range(1, n + 1))
+                    swap[a - 1], swap[b - 1] = b, a
+                    for key in e.expansion.support():
+                        assert relabel(tuple(swap), key.blocks) == key.blocks
+
+
+def test_cells_are_the_certified_atoms():
+    """The certificate accepts the true atoms of every connected diagram
+    with n <= 7, and rejects atom sets that break either of its checks."""
+    for n in range(1, 8):
+        for e in classify._table(n):
+            assert e.cells == e.atoms, e.diagram
+    column = source_skew_schur(SkewDiagram(Partition((1, 1))))
+    swap_rows = Permutation((2, 1)).images
+    # the swap fixes the column's expansion, but one atom holding both
+    # rows would let sigma y move a row block where sigma does not
+    assert column.relabels_to(swap_rows, column)
+    assert classify._certified_cells(column, ((1, 2),), ((1,), (2,))) == ((1,), (2,))
+    assert classify._certified_cells(column, ((1,), (2,)), ((1,), (2,))) == ((1,), (2,))
+    hook = source_skew_schur(HOOK)
+    assert classify._certified_cells(hook, ((1, 2), (3,)), ((1, 2), (3,))) == ((1, 2), (3,))
+    assert classify._certified_cells(hook, ((1, 2, 3),), ((1, 2, 3),)) == ((1,), (2,), (3,))
+
+
+def test_false_atoms_fall_back_to_singleton_cells(monkeypatch):
+    """With the row blocks passed off as atoms, which they are only for
+    ribbons, the certificate rejects every diagram whose rows are not its
+    atoms, those diagrams are swept sigma by sigma, and the kernel still
+    reports what the scan and the per-coset kernel do with the rows as the
+    block condition."""
+    entry = classify._entry
+
+    def rows_as_atoms(d):
+        return dataclasses.replace(entry(d), atoms=classify.interval_blocks(d.row_lengths().parts))
+
+    monkeypatch.setattr(classify, "_entry", rows_as_atoms)
+    classify._table.cache_clear()
+    try:
+        for n in (4, 5):
+            true_atoms = [classify._atoms(d) for d in connected_diagrams(n)]
+            entries = classify._table(n)
+            rejected = 0
+            for e, atoms in zip(entries, true_atoms):
+                if e.atoms == atoms:
+                    assert e.cells == atoms
+                else:
+                    assert e.cells == tuple((x,) for x in range(1, n + 1))
+                    rejected += 1
+            assert rejected
+            scan = _scan(n, atoms=lambda d: classify.interval_blocks(d.row_lengths().parts))
+            assert any(d.first == d.second for d in scan.disagreements)
+            assert _per_coset(n) == scan
+            for jobs in (1, 2):
+                assert verify_exhaustive(n, jobs) == scan, (n, jobs)
+    finally:
+        classify._table.cache_clear()
 
 
 def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
@@ -405,6 +590,44 @@ def test_verify_eight_counters():
         report.same_diagram_equal,
         report.same_diagram_condition,
     ) == (9757440, 67504, 65897)
+
+
+@pytest.mark.slow
+def test_verify_eight_matches_the_per_coset_kernel():
+    assert verify_exhaustive(8) == _per_coset(8)
+
+
+@pytest.mark.slow
+def test_verify_nine_counters():
+    report = verify_exhaustive(9)
+    assert (report.diagram_count, report.pair_count, report.coset_checks) == (
+        557,
+        309692,
+        112583157120,
+    )
+    assert report.agreements == report.coset_checks and report.ok
+    assert (
+        report.same_diagram_checks,
+        report.same_diagram_equal,
+        report.same_diagram_condition,
+    ) == (202124160, 553850, 547263)
+
+
+@pytest.mark.slow
+def test_verify_ten_counters():
+    report = verify_exhaustive(10, jobs=2)
+    count, pairs = 1285, 1649940
+    assert pairs == count * (count - 1)
+    assert (report.diagram_count, report.pair_count) == (count, pairs)
+    # every ordered pair, the same-diagram ones included, over all of S_10
+    assert report.coset_checks == count * count * math.factorial(10)
+    assert report.agreements == report.coset_checks and report.ok
+    assert (
+        report.same_diagram_checks,
+        report.same_diagram_equal,
+        report.same_diagram_condition,
+    ) == (4663008000, 5185854, 5123487)
+    assert report.same_diagram_checks == count * math.factorial(10)
 
 
 def test_verify_validation():

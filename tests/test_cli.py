@@ -102,7 +102,7 @@ def test_verify(capsys):
 
 
 def test_verify_cap(capsys):
-    code, _, err = run(capsys, "verify", "9")
+    code, _, err = run(capsys, "verify", "11")
     assert code == 1
     assert "--force" in err
 
