@@ -26,19 +26,17 @@ Atoms refine every key, so for y in Y, sigma y (x -> sigma(y(x)), as in
 row block, so condition 3, which reads only the image of each row block,
 cannot tell sigma y from sigma either.  Every verdict of the sweep is then
 constant on each right coset sigma Y, and one representative per coset is
-decided by relabels_to and counted |Y| times.  The run does not take the
-argument on trust: each diagram's atoms pass a certificate first (every
-adjacent transposition inside an atom fixes E_D, and every atom lies
-inside one row block), and a diagram whose atoms fail it is swept with
-singleton cells, one sigma at a time.
+decided by relabels_to and counted |Y| times.  Both premises hold by
+construction, with no check at run time (see _Entry).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, prod
@@ -84,6 +82,15 @@ def _meets_condition_3(images: tuple[int, ...], rows: Blocks) -> bool:
     return True
 
 
+def _rotation_partner(d: SkewDiagram) -> SkewDiagram | None:
+    """The only diagram T that conditions 1 and 2 let a pair (d, T) have:
+    d rotated by 180 degrees when d is a nonsymmetric ribbon, else None."""
+    if not d.is_ribbon():
+        return None
+    rotated = d.rotate()
+    return None if rotated == d else rotated
+
+
 def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
     """The first classification condition a pair of distinct connected
     labeled diagrams fails: 1 (source not a nonsymmetric ribbon), 2 (target
@@ -94,9 +101,10 @@ def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
     d = a.diagram
     if b.diagram == d:
         raise ValueError("equal diagrams; use same_diagram_verdict")
-    if not (d.is_ribbon() and not d.is_symmetric()):
+    partner = _rotation_partner(d)
+    if partner is None:
         return 1
-    if b.diagram != d.rotate():
+    if b.diagram != partner:
         return 2
     sigma = b.labeling.inverse() * a.labeling
     if not _meets_condition_3(sigma.images, interval_blocks(d.row_lengths().parts)):
@@ -170,9 +178,10 @@ def count_equivalent(d: SkewDiagram) -> int:
     rotation of d.  Only defined for connected nonsymmetric ribbons; the
     classification says the answer is the factorial product of the row
     lengths."""
-    if not (d.is_connected() and d.is_ribbon() and not d.is_symmetric()):
+    partner = _rotation_partner(d)
+    if not d.is_connected() or partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    return sum(_young_order(pieces) for _, pieces in _observed(_entry(d), _entry(d.rotate())))
+    return sum(_young_order(pieces) for _, pieces in _observed(_entry(d), _entry(partner)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +310,6 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[int, ...]]
     )
 
 
-def _certified_cells(expansion: NCExpansion, atoms: Blocks, rows: Blocks) -> Blocks:
-    """The atoms, if this run proves that sigma y decides every check as
-    sigma does, for y in their Young subgroup; else singletons, whose
-    Young subgroup is trivial.
-
-    Two things are checked.  Every adjacent transposition inside an atom
-    fixes the expansion; those generate the Young subgroup, so it fixes the
-    expansion, and act(sigma y, E_D) = act(sigma, E_D).  Every atom lies
-    inside one row block, so y keeps each row block and condition 3 sees
-    the same sigma(block) for sigma y as for sigma.  The same-diagram block
-    condition is membership in the Young subgroup, which no y changes.
-    """
-    n = sum(len(atom) for atom in atoms)
-    singletons = tuple((x,) for x in range(1, n + 1))
-    row_of = {x: k for k, row in enumerate(rows) for x in row}
-    for atom in atoms:
-        if len({row_of[x] for x in atom}) > 1:
-            return singletons
-        for a, b in zip(atom, atom[1:]):
-            images = list(range(1, n + 1))
-            images[a - 1], images[b - 1] = b, a
-            if not expansion.relabels_to(tuple(images), expansion):
-                return singletons
-    return atoms
-
-
 @dataclass(frozen=True)
 class _Entry:
     """What the sweep needs of one diagram.
@@ -334,9 +317,17 @@ class _Entry:
     keys_by_signature groups the keys of the source expansion by their
     signature, and signatures lists (stabilizer order, signature) once per
     signature.  fingerprint is the sorted tuple of (signature, number of
-    keys), which every sigma keeps.  atoms are _atoms of the diagram, and
-    cells are the atoms as _certified_cells proves them on construction,
-    or singletons.
+    keys), which every sigma keeps.  partner is _rotation_partner of the
+    diagram, and atoms, its _atoms, give the same-diagram block condition.
+
+    cells, whose Young subgroup Y the sweep works modulo, are the nonempty
+    intersections of an atom with a row block.  Every key block is a union
+    of atoms, hence of cells, so Y fixes E_D; every row block is a union of
+    cells, so Y keeps each row block and condition 3 cannot tell sigma y
+    from sigma.  The cells are the atoms: the row blocks are a key of E_D,
+    with coefficient 1/prod r_i!, as the term of w has subscripts A[i, w(i)]
+    with A[i, i] = r_i > 0 and each row of A strictly increasing, so the
+    identity is the only term whose nonzero subscripts are the row lengths.
     """
 
     diagram: SkewDiagram
@@ -346,12 +337,8 @@ class _Entry:
     fingerprint: tuple[tuple[Signature, int], ...]
     rows: Blocks
     atoms: Blocks
-    nonsym_ribbon: bool
-    rotated: SkewDiagram
-    cells: Blocks = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", _certified_cells(self.expansion, self.atoms, self.rows))
+    cells: Blocks
+    partner: SkewDiagram | None
 
 
 def _entry(d: SkewDiagram) -> _Entry:
@@ -360,6 +347,8 @@ def _entry(d: SkewDiagram) -> _Entry:
     for key, coeff in src.items():
         sig = tuple(sorted(len(block) for block in key.blocks)), coeff
         keys_by_signature.setdefault(sig, []).append(key.blocks)
+    rows = interval_blocks(d.row_lengths().parts)
+    atoms = _atoms(d)
     return _Entry(
         diagram=d,
         expansion=src,
@@ -368,10 +357,10 @@ def _entry(d: SkewDiagram) -> _Entry:
             (_stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()
         ),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
-        rows=interval_blocks(d.row_lengths().parts),
-        atoms=_atoms(d),
-        nonsym_ribbon=d.is_ribbon() and not d.is_symmetric(),
-        rotated=d.rotate(),
+        rows=rows,
+        atoms=atoms,
+        cells=tuple(piece for atom in atoms for piece in _split(atom, rows)),
+        partner=_rotation_partner(d),
     )
 
 
@@ -386,7 +375,7 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     if it maps the pivot onto a key of E_T with the pivot's signature.  For
     each such key those sigma form one coset of the pivot's stabilizer.
     The pieces are the pivot's blocks cut along first's cells; their Young
-    subgroup fixes the pivot and, the cells being certified, E_D, so
+    subgroup fixes the pivot and, every key being a union of cells, E_D, so
     relabels_to decides a whole coset sigma Y as it decides sigma, and each
     representative from _block_maps is decided by relabels_to.  Every other
     sigma fails at the pivot.  The pivot is a key whose signature makes the
@@ -437,11 +426,12 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
 
     All three sets are unions of right cosets sigma Y, for Y the Young
     subgroup of the first diagram's cells cut along the blocks enumerated,
-    and both verdicts are constant on each coset (_certified_cells).  So
+    and both verdicts are constant on each coset (see _Entry).  So
     _block_maps yields one representative per coset, relabels_to decides
     it, and it counts |Y| times; a disagreeing representative is expanded
     back into the |Y| labelings of its coset, so the report is the one a
-    sigma by sigma sweep gives.
+    sigma by sigma sweep gives.  The block condition and the predicted
+    coset both map each block onto one target, so one helper decides both.
     """
     entries = _table(n)
     count = len(entries)
@@ -456,21 +446,28 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
             for sigma in _coset(images, pieces)
         )
 
+    def decide_predicted(i: int, j: int, blocks: Blocks, targets: Blocks) -> int:
+        """Decide the sigma mapping each block onto its target, predicted
+        equal, one per coset sigma Y; return how many sigma they cover."""
+        first = entries[i]
+        choices = [(_split(b, first.cells), (t,)) for b, t in zip(blocks, targets)]
+        pieces = _pieces(choices)
+        representatives = 0
+        for images in _block_maps(choices):
+            representatives += 1
+            if not first.expansion.relabels_to(images, entries[j].expansion):
+                disagree(i, j, images, pieces, True)
+        return representatives * _young_order(pieces)
+
     for i in rows:
         first = entries[i]
-        relabels_to = first.expansion.relabels_to
-        rotation = index[first.rotated] if first.nonsym_ribbon else None
+        rotation = index.get(first.partner)
         counts["pair_count"] += count - 1
         counts["coset_checks"] += count * per_pair
         counts["same_diagram_checks"] += per_pair
         for _images, pieces in _observed(first, first):
             counts["same_diagram_equal"] += _young_order(pieces)
-        condition = [(_split(atom, first.cells), (atom,)) for atom in first.atoms]
-        pieces = _pieces(condition)
-        for images in _block_maps(condition):
-            counts["same_diagram_condition"] += _young_order(pieces)
-            if not relabels_to(images, first.expansion):
-                disagree(i, i, images, pieces, True)
+        counts["same_diagram_condition"] += decide_predicted(i, i, first.atoms, first.atoms)
         for j, second in enumerate(entries):
             if j == i or (j != rotation and first.fingerprint != second.fingerprint):
                 continue
@@ -478,13 +475,7 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
                 if not (j == rotation and _meets_condition_3(images, first.rows)):
                     disagree(i, j, images, pieces, False)
             if j == rotation:
-                predicted = [
-                    (_split(block, first.cells), (_row_target(block, n),)) for block in first.rows
-                ]
-                pieces = _pieces(predicted)
-                for images in _block_maps(predicted):
-                    if not relabels_to(images, second.expansion):
-                        disagree(i, j, images, pieces, True)
+                decide_predicted(i, j, first.rows, tuple(_row_target(b, n) for b in first.rows))
     counts["agreements"] = counts["coset_checks"] - len(disagreements)
     return counts, disagreements
 
@@ -498,12 +489,12 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     checking that the sufficient block condition never outruns the oracle.
     Each sigma where the predicate or the oracle can hold is generated and
     decided by the oracle, one per right coset of the Young subgroup of the
-    certified atoms, which stands for its whole coset; every other sigma
+    atoms, which stands for its whole coset; every other sigma
     counts as an agreement, both sides being false there.  A pair that
     fails conditions 1 and 2 and whose fingerprints differ is decided
     whole, in one step, on every run.
     prune has no effect: the fingerprint filter skips every pair that the
-    overlap condition once pruned.
+    overlap condition once pruned.  At most os.cpu_count() workers start.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -511,6 +502,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         raise ValueError("jobs must be >= 1")
     count = len(_table(n))
     rows = tuple(range(count))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or count < 2:
         partials = [_verify_rows(n, rows)]
     else:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,20 @@ def test_failing_conditions():
     assert failing_condition(a, b) == 3
     assert not predicts_equal(a, b)
     assert not expansions_equal(a, b)
+
+
+def test_conditions_one_and_two_are_the_table_partner():
+    """A pair of distinct connected diagrams fails condition 1 or 2 exactly
+    when the second is not the first's partner in the sweep's table."""
+    for n in range(1, 7):
+        diagrams = list(connected_diagrams(n))
+        identity = Permutation.identity(n)
+        for d in diagrams:
+            partner = classify._entry(d).partner
+            for t in diagrams:
+                if t != d:
+                    fails = failing_condition(LabeledDiagram(identity, d), LabeledDiagram(identity, t))
+                    assert (fails in (1, 2)) == (partner != t), (d, t)
 
 
 def test_pair_validation():
@@ -211,6 +226,19 @@ def test_verify_prune_and_jobs_change_nothing():
     assert verify_exhaustive(4, prune=True) == base
     assert verify_exhaustive(4, jobs=2) == base
     assert verify_exhaustive(4, jobs=2, prune=True) == base
+
+
+def test_verify_caps_the_workers_at_the_cores(monkeypatch):
+    """jobs beyond os.cpu_count() start no more workers; with one core the
+    sweep runs in this process and the report is unchanged."""
+    base = verify_exhaustive(4)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+    assert verify_exhaustive(4, jobs=64) == base
 
 
 def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
@@ -401,7 +429,7 @@ def _per_coset(n):
             if not first.expansion.relabels_to(images, first.expansion):
                 found.append(Disagreement(i * count + i, i, i, images, True, False))
         for j, second in enumerate(entries):
-            conditions_12 = first.nonsym_ribbon and second.diagram == first.rotated
+            conditions_12 = second.diagram == first.partner
             if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
                 continue
             for images in _per_coset_observed(first, second):
@@ -462,7 +490,7 @@ def test_right_multiplication_convention():
             coset = list(classify._coset(sigma.images, pieces))
             assert len(coset) == len(young) == classify._young_order(pieces)
             assert set(coset) == expected
-    for n in range(1, 7):
+    for n in range(1, 9):
         for e in classify._table(n):
             for cell in e.cells:
                 for a, b in zip(cell, cell[1:]):
@@ -472,30 +500,50 @@ def test_right_multiplication_convention():
                         assert relabel(tuple(swap), key.blocks) == key.blocks
 
 
-def test_cells_are_the_certified_atoms():
-    """The certificate accepts the true atoms of every connected diagram
-    with n <= 7, and rejects atom sets that break either of its checks."""
-    for n in range(1, 8):
+def test_cells_are_the_atoms():
+    """Cutting the atoms along the row blocks cuts nothing: every atom of
+    every connected diagram with n <= 8 lies inside one row block."""
+    for n in range(1, 9):
         for e in classify._table(n):
-            assert e.cells == e.atoms, e.diagram
-    column = source_skew_schur(SkewDiagram(Partition((1, 1))))
-    swap_rows = Permutation((2, 1)).images
-    # the swap fixes the column's expansion, but one atom holding both
-    # rows would let sigma y move a row block where sigma does not
-    assert column.relabels_to(swap_rows, column)
-    assert classify._certified_cells(column, ((1, 2),), ((1,), (2,))) == ((1,), (2,))
-    assert classify._certified_cells(column, ((1,), (2,)), ((1,), (2,))) == ((1,), (2,))
-    hook = source_skew_schur(HOOK)
-    assert classify._certified_cells(hook, ((1, 2), (3,)), ((1, 2), (3,))) == ((1, 2), (3,))
-    assert classify._certified_cells(hook, ((1, 2, 3),), ((1, 2, 3),)) == ((1,), (2,), (3,))
+            assert e.cells == e.atoms == classify._atoms(e.diagram), e.diagram
 
 
-def test_false_atoms_fall_back_to_singleton_cells(monkeypatch):
+def test_row_blocks_are_a_key_of_the_source_expansion():
+    """h of the row blocks is the identity's determinant term, and no other
+    term has the row lengths as its nonzero subscripts, so it survives with
+    coefficient 1 / prod r_i! for every connected diagram with n <= 8."""
+    for n in range(1, 9):
+        for d in connected_diagrams(n):
+            rows = SetPartition.from_composition(d.row_lengths())
+            coefficient = source_skew_schur(d).coefficient(rows)
+            assert coefficient == Fraction(1, d.row_lengths().factorial()), d
+
+
+def test_building_the_table_decides_no_labeling(monkeypatch):
+    """The cells come from the atoms and rows alone: building the table
+    makes no relabels_to call."""
+    calls = []
+    relabels_to = NCExpansion.relabels_to
+
+    def counting_relabels_to(*args):
+        calls.append(args)
+        return relabels_to(*args)
+
+    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
+    classify._table.cache_clear()
+    try:
+        for n in range(1, 8):
+            classify._table(n)
+    finally:
+        classify._table.cache_clear()
+    assert not calls
+
+
+def test_false_atoms_leave_the_quotient_alone(monkeypatch):
     """With the row blocks passed off as atoms, which they are only for
-    ribbons, the certificate rejects every diagram whose rows are not its
-    atoms, those diagrams are swept sigma by sigma, and the kernel still
-    reports what the scan and the per-coset kernel do with the rows as the
-    block condition."""
+    ribbons, the cells stay the true atoms, so the quotient is unchanged,
+    and the kernel reports what the scan and the per-coset kernel do with
+    the rows as the block condition."""
     entry = classify._entry
 
     def rows_as_atoms(d):
@@ -507,14 +555,8 @@ def test_false_atoms_fall_back_to_singleton_cells(monkeypatch):
         for n in (4, 5):
             true_atoms = [classify._atoms(d) for d in connected_diagrams(n)]
             entries = classify._table(n)
-            rejected = 0
-            for e, atoms in zip(entries, true_atoms):
-                if e.atoms == atoms:
-                    assert e.cells == atoms
-                else:
-                    assert e.cells == tuple((x,) for x in range(1, n + 1))
-                    rejected += 1
-            assert rejected
+            assert [e.cells for e in entries] == true_atoms
+            assert any(e.atoms != atoms for e, atoms in zip(entries, true_atoms))
             scan = _scan(n, atoms=lambda d: classify.interval_blocks(d.row_lengths().parts))
             assert any(d.first == d.second for d in scan.disagreements)
             assert _per_coset(n) == scan
