@@ -28,6 +28,17 @@ cannot tell sigma y from sigma either.  Every verdict of the sweep is then
 constant on each right coset sigma Y, and one representative per coset is
 decided by relabels_to and counted |Y| times.  Both premises hold by
 construction, with no check at run time (see _Entry).
+
+Within a coset enumeration the sweep deals by colour, one round of the
+colour refinement that starts partition backtrack (McKay and Piperno,
+"Practical graph isomorphism II", 2014).  The colour of a point x under
+E_D is (c_1, ..., c_n), c_k the number of keys of E_D whose block holding
+x has k points.  Lemma: if act(sigma, E_D) == E_T then sigma maps each x to
+a point of the same colour under E_T.  For sigma maps the keys of E_D
+one to one onto those of E_T, and the block of a key holding x onto the
+block of its image holding sigma(x), of the same size.  Points of one atom
+lie in the same blocks, so colours are constant on atoms, and dealing each
+piece only points of its colour keeps or drops whole cosets sigma Y.
 """
 
 from __future__ import annotations
@@ -37,7 +48,6 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, prod
 from typing import Iterator
@@ -223,8 +233,18 @@ class VerificationReport:
         return not self.disagreements
 
 
-# What relabeling keeps of a term: its block sizes, sorted, and its coefficient.
-Signature = tuple[tuple[int, ...], Fraction]
+# What relabeling keeps of a term: its block sizes, sorted, and its
+# coefficient as numerator and denominator, so it hashes and compares ints.
+Signature = tuple[tuple[int, ...], int, int]
+# The colour of each of 1..n in turn; a point's colour is (c_1, ..., c_n),
+# c_k the number of keys whose block containing the point has k points.
+Colouring = tuple[tuple[int, ...], ...]
+
+
+def _uniform(n: int) -> tuple[Colouring, Colouring]:
+    """Source and target colourings giving every point of 1..n one colour,
+    under which _spread deals every way."""
+    return ((),) * n, ((),) * n
 
 
 def _stabilizer_order(blocks: Blocks) -> int:
@@ -249,23 +269,36 @@ def _pieces(choices) -> Blocks:
     return tuple(piece for pieces, _ in choices for piece in pieces)
 
 
-def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _spread(
+    values: tuple[int, ...], pieces: Blocks, colours: tuple[Colouring, Colouring]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every way to deal the values out to the pieces, each piece getting
-    as many as it holds, in increasing order."""
+    as many as it holds, in increasing order, and only values whose target
+    colour is the piece's source colour: colours is (source, target), each
+    the colour of every point of 1..n, and a piece takes the colour of its
+    points.  A sigma dealt here maps every point of the pieces to a point of
+    its own colour.  Under the uniform colouring every value fits every
+    piece and every deal is yielded.
+    """
+    source, target = colours
+    colour = source[pieces[0][0] - 1]
+    fitting = tuple(v for v in values if target[v - 1] == colour)
     if len(pieces) == 1:
-        yield (values,)
+        if len(fitting) == len(values):
+            yield (values,)
         return
-    for chosen in itertools.combinations(values, len(pieces[0])):
+    for chosen in itertools.combinations(fitting, len(pieces[0])):
         rest = tuple(v for v in values if v not in chosen)
-        for tail in _spread(rest, pieces[1:]):
+        for tail in _spread(rest, pieces[1:], colours):
             yield (chosen,) + tail
 
 
-def _block_maps(choices) -> Iterator[tuple[int, ...]]:
+def _block_maps(choices, colours: tuple[Colouring, Colouring]) -> Iterator[tuple[int, ...]]:
     """One sigma, as its tuple of images, per right coset sigma Y of the
     Young subgroup Y of the pieces: the sigma that map each source block
     onto one of its candidate target blocks of the same size, no target
-    taken twice, and are increasing on every piece.
+    taken twice, map each piece onto points of its colour (see _spread),
+    and are increasing on every piece.
 
     choices is a sequence of (source block cut into pieces, candidate
     target blocks), whose blocks cover 1..n.  Composing with y in Y keeps
@@ -273,8 +306,10 @@ def _block_maps(choices) -> Iterator[tuple[int, ...]]:
     sigma' y for exactly one sigma' yielded: every matching of the blocks,
     then every combination of the target per piece, where one piece per
     block would give every bijection.  With singleton pieces Y is trivial
-    and every sigma is yielded.  The state is one partial image and one
-    iterator per block, so nothing proportional to the output is built.
+    and every sigma is yielded.  Colours are constant on pieces, so the
+    colour filter keeps or drops whole cosets.  The state is one partial
+    image and one iterator per block, so nothing proportional to the output
+    is built.
     """
     images = [0] * sum(len(piece) for piece in _pieces(choices))
     used: set[tuple[int, ...]] = set()
@@ -286,7 +321,7 @@ def _block_maps(choices) -> Iterator[tuple[int, ...]]:
             if target in used:
                 continue
             used.add(target)
-            for dealt in _spread(target, pieces):
+            for dealt in _spread(target, pieces, colours):
                 for piece, values in zip(pieces, dealt):
                     for e, v in zip(piece, values):
                         images[e - 1] = v
@@ -306,7 +341,8 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[int, ...]]
         [
             (tuple((x,) for x in piece), (tuple(sorted(images[x - 1] for x in piece)),))
             for piece in pieces
-        ]
+        ],
+        _uniform(len(images)),
     )
 
 
@@ -328,6 +364,12 @@ class _Entry:
     with coefficient 1/prod r_i!, as the term of w has subscripts A[i, w(i)]
     with A[i, i] = r_i > 0 and each row of A strictly increasing, so the
     identity is the only term whose nonzero subscripts are the row lengths.
+
+    colours holds the colour of each of 1..n: (c_1, ..., c_n), c_k the
+    number of keys whose block holding the point has k points.  A sigma
+    with act(sigma, E_D) == E_T maps the keys of E_D one to one onto those
+    of E_T and the block holding x onto the block holding sigma(x), so it
+    keeps colours; points of one cell lie in the same blocks and share one.
     """
 
     diagram: SkewDiagram
@@ -338,15 +380,20 @@ class _Entry:
     rows: Blocks
     atoms: Blocks
     cells: Blocks
+    colours: Colouring
     partner: SkewDiagram | None
 
 
 def _entry(d: SkewDiagram) -> _Entry:
     src = source_skew_schur(d)
     keys_by_signature: dict[Signature, list[Blocks]] = {}
+    counts = [[0] * d.size for _ in range(d.size)]
     for key, coeff in src.items():
-        sig = tuple(sorted(len(block) for block in key.blocks)), coeff
+        sig = tuple(sorted(len(block) for block in key.blocks)), coeff.numerator, coeff.denominator
         keys_by_signature.setdefault(sig, []).append(key.blocks)
+        for block in key.blocks:
+            for x in block:
+                counts[x - 1][len(block) - 1] += 1
     rows = interval_blocks(d.row_lengths().parts)
     atoms = _atoms(d)
     return _Entry(
@@ -360,6 +407,7 @@ def _entry(d: SkewDiagram) -> _Entry:
         rows=rows,
         atoms=atoms,
         cells=tuple(piece for atom in atoms for piece in _split(atom, rows)),
+        colours=tuple(map(tuple, counts)),
         partner=_rotation_partner(d),
     )
 
@@ -381,6 +429,11 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     sigma fails at the pivot.  The pivot is a key whose signature makes the
     fewest sigma to decide: stabilizer order times the number of keys of
     E_T with that signature.
+
+    Each piece is dealt only the points of its target block with the
+    piece's colour (see _Entry): a sigma that sends some point to a point
+    of another colour cannot relabel E_D onto E_T, and colours are constant
+    on cells, so the filter drops whole cosets sigma Y and no observed sigma.
     """
     target = second.expansion
     if len(first.expansion) != len(target):
@@ -392,13 +445,14 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     pivot = first.keys_by_signature[sig][0]
     split = [_split(block, first.cells) for block in pivot]
     pieces = sum(split, ())
+    colours = first.colours, second.colours
     relabels_to = first.expansion.relabels_to
     for key in candidates.get(sig, ()):
         choices = [
             (block_pieces, tuple(c for c in key if len(c) == len(block)))
             for block, block_pieces in zip(pivot, split)
         ]
-        for images in _block_maps(choices):
+        for images in _block_maps(choices, colours):
             if relabels_to(images, target):
                 yield images, pieces
 
@@ -415,8 +469,10 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     Every pair takes one path, whatever verify_exhaustive's prune says.  A
     distinct pair that fails conditions 1 and 2 and whose fingerprints
     differ has no observed sigma and no predicted one, so it counts as n!
-    agreements at once.  For every other pair only the sigma where
-    predicate or oracle can be true are generated: the observed sigma
+    agreements at once: the table is grouped by fingerprint once, and each
+    row visits only the other diagrams of its bucket and its rotation
+    partner, whatever the partner's bucket.  For those pairs only the sigma
+    where predicate or oracle can be true are generated: the observed sigma
     (_observed) and, for a pair meeting conditions 1 and 2, the predicted
     coset, where sigma maps each row block onto its _row_target.  The
     disagreements are the observed sigma not predicted and the predicted
@@ -437,6 +493,9 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     count = len(entries)
     per_pair = factorial(n)
     index = {entry.diagram: k for k, entry in enumerate(entries)}
+    buckets: dict[tuple[tuple[Signature, int], ...], list[int]] = {}
+    for k, entry in enumerate(entries):
+        buckets.setdefault(entry.fingerprint, []).append(k)
     counts: Counter[str] = Counter()
     disagreements: list[Disagreement] = []
 
@@ -453,7 +512,7 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
         choices = [(_split(b, first.cells), (t,)) for b, t in zip(blocks, targets)]
         pieces = _pieces(choices)
         representatives = 0
-        for images in _block_maps(choices):
+        for images in _block_maps(choices, _uniform(n)):
             representatives += 1
             if not first.expansion.relabels_to(images, entries[j].expansion):
                 disagree(i, j, images, pieces, True)
@@ -468,10 +527,9 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
         for _images, pieces in _observed(first, first):
             counts["same_diagram_equal"] += _young_order(pieces)
         counts["same_diagram_condition"] += decide_predicted(i, i, first.atoms, first.atoms)
-        for j, second in enumerate(entries):
-            if j == i or (j != rotation and first.fingerprint != second.fingerprint):
-                continue
-            for images, pieces in _observed(first, second):
+        seconds = {*buckets[first.fingerprint], rotation} - {i, None}
+        for j in sorted(seconds):
+            for images, pieces in _observed(first, entries[j]):
                 if not (j == rotation and _meets_condition_3(images, first.rows)):
                     disagree(i, j, images, pieces, False)
             if j == rotation:

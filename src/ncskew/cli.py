@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help=f"allow n beyond {VERIFY_CAP}; each further cell makes the run about four times longer",
+        help=f"allow n beyond {VERIFY_CAP}; each further cell makes the run about three times longer",
     )
     p.set_defaults(func=_cmd_verify)
 

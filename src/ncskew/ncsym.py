@@ -44,10 +44,16 @@ class NCExpansion(Expansion):
             return False
         target = other._terms
         for raw, coeff in self._terms.items():
-            # Most checks end at a missing key; testing for None first skips
-            # the slow reflected comparison of None with a Fraction.
+            # Most checks end at a missing key, so None is tested first.
+            # Fractions are kept in lowest terms, so comparing numerator and
+            # denominator decides equality without Fraction.__eq__'s
+            # isinstance dispatch.
             found = target.get(relabel(images, raw))
-            if found is None or found != coeff:
+            if (
+                found is None
+                or found.numerator != coeff.numerator
+                or found.denominator != coeff.denominator
+            ):
                 return False
         return True
 
