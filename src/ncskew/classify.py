@@ -44,12 +44,14 @@ piece only points of its colour keeps or drops whole cosets sigma Y.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, prod
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Iterator
 
 from .diagrams import SkewDiagram, connected_diagrams
@@ -143,12 +145,13 @@ def _atoms(d: SkewDiagram) -> Blocks:
     """1..n grouped by the blocks of the source expansion's keys that
     contain each point.  Every block is a union of atoms, so the sigma
     mapping each atom onto itself, the Young subgroup of the atoms, are
-    exactly the sigma preserving every block of every key."""
-    blocks = {block for key in source_skew_schur(d).support() for block in key.blocks}
-    atoms: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for x in range(1, d.size + 1):
-        atoms.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
-    return tuple(tuple(atom) for atom in atoms.values())
+    exactly the sigma preserving every block of every key.
+
+    Every key is an interval set partition (see source_skew_schur), so the
+    atoms are intervals too: x and x + 1 share every block exactly when no
+    block of any key ends at x."""
+    ends = sorted({block[-1] for raw in source_skew_schur(d)._terms for block in raw})
+    return interval_blocks(end - start for start, end in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,17 @@ def _uniform(n: int) -> tuple[Colouring, Colouring]:
     return ((),) * n, ((),) * n
 
 
-def _stabilizer_order(blocks: Blocks) -> int:
-    """How many sigma relabel the set partition onto itself: permute inside
-    each block, and permute the blocks of each size among themselves."""
-    sizes = Counter(len(block) for block in blocks)
-    return prod(factorial(size) ** m * factorial(m) for size, m in sizes.items())
+def _stabilizer_order(sizes: tuple[int, ...]) -> int:
+    """How many sigma relabel a set partition onto itself, given its block
+    sizes in sorted order: permute inside each block, and permute the m
+    blocks of each size among themselves, m! built up one factor per block
+    of each run of equal sizes."""
+    order, run, previous = 1, 0, 0
+    for size in sizes:
+        run = run + 1 if size == previous else 1
+        previous = size
+        order *= factorial(size) * run
+    return order
 
 
 def _young_order(pieces: Blocks) -> int:
@@ -385,24 +394,27 @@ class _Entry:
 
 
 def _entry(d: SkewDiagram) -> _Entry:
+    """One loop over the raw keys of E_D groups them by signature.  A
+    point's colour adds up, over the blocks holding it, how many keys hold
+    each block: the keys are interval set partitions, so there are at most
+    n(n + 1)/2 distinct blocks to add up, however many keys there are."""
     src = source_skew_schur(d)
     keys_by_signature: dict[Signature, list[Blocks]] = {}
+    for raw, coeff in src._terms.items():
+        sig = tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator
+        keys_by_signature.setdefault(sig, []).append(raw)
+    held = Counter(itertools.chain.from_iterable(src._terms))
     counts = [[0] * d.size for _ in range(d.size)]
-    for key, coeff in src.items():
-        sig = tuple(sorted(len(block) for block in key.blocks)), coeff.numerator, coeff.denominator
-        keys_by_signature.setdefault(sig, []).append(key.blocks)
-        for block in key.blocks:
-            for x in block:
-                counts[x - 1][len(block) - 1] += 1
+    for block, keys in held.items():
+        for x in block:
+            counts[x - 1][len(block) - 1] += keys
     rows = interval_blocks(d.row_lengths().parts)
     atoms = _atoms(d)
     return _Entry(
         diagram=d,
         expansion=src,
         keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
-        signatures=tuple(
-            (_stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()
-        ),
+        signatures=tuple((_stabilizer_order(sig[0]), sig) for sig in keys_by_signature),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=rows,
         atoms=atoms,
@@ -434,6 +446,9 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     piece's colour (see _Entry): a sigma that sends some point to a point
     of another colour cannot relabel E_D onto E_T, and colours are constant
     on cells, so the filter drops whole cosets sigma Y and no observed sigma.
+
+    act(id, E_D) == E_D, so when first is second the identity passes
+    undecided.
     """
     target = second.expansion
     if len(first.expansion) != len(target):
@@ -447,13 +462,14 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     pieces = sum(split, ())
     colours = first.colours, second.colours
     relabels_to = first.expansion.relabels_to
+    known = tuple(range(1, first.diagram.size + 1)) if first is second else None
     for key in candidates.get(sig, ()):
         choices = [
             (block_pieces, tuple(c for c in key if len(c) == len(block)))
             for block, block_pieces in zip(pivot, split)
         ]
         for images in _block_maps(choices, colours):
-            if relabels_to(images, target):
+            if images == known or relabels_to(images, target):
                 yield images, pieces
 
 
@@ -488,10 +504,13 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     back into the |Y| labelings of its coset, so the report is the one a
     sigma by sigma sweep gives.  The block condition and the predicted
     coset both map each block onto one target, so one helper decides both.
+    On a same-diagram row the identity is counted without a decision, as
+    act(id, E_D) == E_D; every other representative is decided.
     """
     entries = _table(n)
     count = len(entries)
     per_pair = factorial(n)
+    identity = tuple(range(1, n + 1))
     index = {entry.diagram: k for k, entry in enumerate(entries)}
     buckets: dict[tuple[tuple[Signature, int], ...], list[int]] = {}
     for k, entry in enumerate(entries):
@@ -511,10 +530,11 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
         first = entries[i]
         choices = [(_split(b, first.cells), (t,)) for b, t in zip(blocks, targets)]
         pieces = _pieces(choices)
+        known = identity if i == j else None
         representatives = 0
         for images in _block_maps(choices, _uniform(n)):
             representatives += 1
-            if not first.expansion.relabels_to(images, entries[j].expansion):
+            if images != known and not first.expansion.relabels_to(images, entries[j].expansion):
                 disagree(i, j, images, pieces, True)
         return representatives * _young_order(pieces)
 
@@ -538,6 +558,30 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     return counts, disagreements
 
 
+# Workers are forked where the platform can, so that they inherit the table
+# the parent has built instead of building it again.  ncskew starts no
+# threads, so no lock is held by another thread when it forks.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+
+def _send_rows(send: Connection, n: int, rows: tuple[int, ...]) -> None:
+    """A worker's body: send back what _verify_rows returns.  If it raises,
+    the worker prints the traceback and exits without sending."""
+    send.send(_verify_rows(n, rows))
+
+
+def _start_worker(n: int, rows: tuple[int, ...]) -> tuple[BaseProcess, Connection]:
+    """Start a worker process sweeping rows; return it and the receiving
+    end of its pipe, whose sending end only the worker holds."""
+    receive, send = _CONTEXT.Pipe(duplex=False)
+    process = _CONTEXT.Process(target=_send_rows, args=(send, n, rows), daemon=True)
+    process.start()
+    send.close()
+    return process, receive
+
+
 def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> VerificationReport:
     """Check predicate against oracle over every ordered pair of distinct
     connected diagrams of size n and every labeling in S_n.
@@ -552,7 +596,12 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     fails conditions 1 and 2 and whose fingerprints differ is decided
     whole, in one step, on every run.
     prune has no effect: the fingerprint filter skips every pair that the
-    overlap condition once pruned.  At most os.cpu_count() workers start.
+    overlap condition once pruned.
+
+    The rows are dealt round robin into min(jobs, os.cpu_count()) chunks;
+    this process sweeps the first and a worker process each other one.  A
+    worker that raises or dies makes this call raise RuntimeError, and on
+    the way out of this call every worker is stopped and reaped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -561,12 +610,25 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     count = len(_table(n))
     rows = tuple(range(count))
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1 or count < 2:
-        partials = [_verify_rows(n, rows)]
-    else:
-        chunks = [rows[k::jobs] for k in range(jobs) if rows[k::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(partial(_verify_rows, n), chunks))
+    chunks = [rows[k::jobs] for k in range(jobs) if rows[k::jobs]]
+    workers: list[tuple[BaseProcess, Connection]] = []
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_start_worker(n, chunk))
+        partials = [_verify_rows(n, chunks[0])]
+        for process, receive in workers:
+            try:
+                partials.append(receive.recv())
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a sweep worker exited with code {process.exitcode} before reporting"
+                ) from None
+    finally:
+        for process, receive in workers:
+            receive.close()
+            process.terminate()
+            process.join()
     total: Counter[str] = Counter()
     for counts, _ in partials:
         total.update(counts)

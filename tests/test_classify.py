@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -233,23 +238,26 @@ def test_verify_caps_the_workers_at_the_cores(monkeypatch):
     sweep runs in this process and the report is unchanged."""
     base = verify_exhaustive(4)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(classify, "_start_worker", no_worker)
     assert verify_exhaustive(4, jobs=64) == base
 
 
 def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
     """Even if every diagram had a fingerprint of its own, the pairs meeting
-    conditions 1 and 2 would still get the full check: relabels_to sees
-    exactly the same-diagram and rotation pairs, and the labelings it sees
-    for a rotation pair represent its whole predicted coset.  relabels_to
-    decides one sigma per right coset of the Young subgroup of the first
-    diagram's cells, so a predicted sigma is covered when some sigma that
-    reached relabels_to maps every cell onto the same image set."""
+    conditions 1 and 2 would still get the full check: the report is the
+    bucketed sweep's, the distinct pairs relabels_to sees are exactly the
+    rotation pairs, and the labelings it sees for a rotation pair represent
+    its whole predicted coset.  relabels_to decides one sigma per right
+    coset of the Young subgroup of the first diagram's cells, so a predicted
+    sigma is covered when some sigma that reached relabels_to maps every
+    cell onto the same image set.  The identity fixes every expansion, so
+    it never reaches relabels_to on a same-diagram pair."""
     n = 5
+    base = verify_exhaustive(n)
     checked = []
     relabels_to = NCExpansion.relabels_to
     entry = classify._entry
@@ -281,7 +289,9 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
         if d.is_ribbon() and not d.is_symmetric()
     }
     assert rotation_pairs
-    assert set(reached) == same_diagram_pairs | rotation_pairs
+    assert report == base
+    assert set(reached) - same_diagram_pairs == rotation_pairs
+    assert not any(tuple(range(1, n + 1)) in reached.get(pair, ()) for pair in same_diagram_pairs)
 
     def cell_images(images, cells):
         return tuple(frozenset(images[x - 1] for x in cell) for cell in cells)
@@ -508,6 +518,110 @@ def test_cells_are_the_atoms():
             assert e.cells == e.atoms == classify._atoms(e.diagram), e.diagram
 
 
+def _reference_entry(d):
+    """The table entry built the long way: atoms by scanning every block
+    of every key for every point, stabilizer orders from a Counter of the
+    block sizes, colours counted key by key and point by point."""
+    src = source_skew_schur(d)
+    n = d.size
+    keys_by_signature = {}
+    colours = [[0] * n for _ in range(n)]
+    for key, coeff in src.items():
+        sig = tuple(sorted(len(b) for b in key.blocks)), coeff.numerator, coeff.denominator
+        keys_by_signature.setdefault(sig, []).append(key.blocks)
+        for block in key.blocks:
+            for x in block:
+                colours[x - 1][len(block) - 1] += 1
+    blocks = {block for key in src.support() for block in key.blocks}
+    grouped = {}
+    for x in range(1, n + 1):
+        grouped.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
+    atoms = tuple(tuple(atom) for atom in grouped.values())
+    rows = classify.interval_blocks(d.row_lengths().parts)
+
+    def stabilizer_order(key):
+        sizes = Counter(len(block) for block in key)
+        return math.prod(math.factorial(s) ** m * math.factorial(m) for s, m in sizes.items())
+
+    rotated = d.rotate()
+    return classify._Entry(
+        diagram=d,
+        expansion=src,
+        keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
+        signatures=tuple((stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()),
+        fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
+        rows=rows,
+        atoms=atoms,
+        cells=tuple(
+            piece for atom in atoms for row in rows if (piece := tuple(x for x in atom if x in row))
+        ),
+        colours=tuple(map(tuple, colours)),
+        partner=rotated if d.is_ribbon() and rotated != d else None,
+    )
+
+
+def test_entry_matches_the_reference_entry():
+    """The one-pass entry equals the one built the long way, field for
+    field, for every connected diagram with n <= 8."""
+    for n in range(1, 9):
+        for d in connected_diagrams(n):
+            got, want = classify._entry(d), _reference_entry(d)
+            for field in dataclasses.fields(classify._Entry):
+                assert getattr(got, field.name) == getattr(want, field.name), (d, field.name)
+
+
+@contextlib.contextmanager
+def _fails_after(seconds):
+    """Raise in this process if the block runs longer than seconds."""
+
+    def hung(*_):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_failing_worker_makes_the_sweep_raise(monkeypatch):
+    """A worker whose sweep raises, or which dies, makes verify_exhaustive
+    raise at once instead of waiting, and every worker is reaped by the
+    time it returns.  Only the chunks without row 0 fail: this process
+    sweeps the chunk with row 0, so the failure is a worker's."""
+    verify_rows = classify._verify_rows
+    start_worker = classify._start_worker
+    started = []
+
+    def raising(n, rows):
+        if 0 not in rows:
+            raise ValueError("a failing worker")
+        return verify_rows(n, rows)
+
+    def dying(n, rows):
+        if 0 not in rows:
+            os._exit(3)
+        return verify_rows(n, rows)
+
+    def recording_start_worker(*args):
+        worker = start_worker(*args)
+        started.append(worker[0])
+        return worker
+
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "_start_worker", recording_start_worker)
+    for fault, code in ((raising, 1), (dying, 3)):
+        started.clear()
+        monkeypatch.setattr(classify, "_verify_rows", fault)
+        with _fails_after(60), pytest.raises(RuntimeError, match=f"exited with code {code}"):
+            verify_exhaustive(5, jobs=2)
+        assert len(started) == 1
+        assert all(process.exitcode is not None for process in started)
+        assert multiprocessing.active_children() == []
+
+
 def test_relabeling_keeps_colours():
     """Brute force over every ordered pair of connected diagrams with
     n <= 6, same-diagram pairs included, and every sigma in S_n: a sigma
@@ -549,8 +663,10 @@ def test_colours_are_exact_counts_constant_on_cells():
 
 
 def test_rows_phase_deals_by_colour(monkeypatch):
-    """Dealing each piece only the target points of its colour leaves the
-    sweep of n=7 at most 400 labelings to decide (1,918 without it)."""
+    """Dealing each piece only the target points of its colour, and taking
+    the identity undecided on a same-diagram row, leaves the sweep of n=7
+    at most 250 labelings to decide (1,918 without colours, 333 deciding
+    the identity): no same-diagram row decides the identity."""
     classify._table(7)
     calls = []
     relabels_to = NCExpansion.relabels_to
@@ -562,7 +678,9 @@ def test_rows_phase_deals_by_colour(monkeypatch):
     monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
     report = verify_exhaustive(7)
     assert report.ok and report.same_diagram_equal == 9182
-    assert len(calls) <= 400
+    assert len(calls) <= 250
+    identity = tuple(range(1, 8))
+    assert not [c for c in calls if c[0] is c[2] and c[1] == identity]
 
 
 def test_row_blocks_are_a_key_of_the_source_expansion():
