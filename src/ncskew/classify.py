@@ -48,7 +48,6 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -473,14 +472,12 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
                 yield images, pieces
 
 
-@lru_cache(maxsize=2)
-def _table(n: int) -> tuple[_Entry, ...]:
-    return tuple(_entry(d) for d in connected_diagrams(n))
-
-
-def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disagreement]]:
-    """Sweep the pairs whose first diagram is in rows; return the report's
-    counters, by field name, and the disagreements found.
+def _verify_rows(
+    entries: tuple[_Entry, ...], rows: tuple[int, ...]
+) -> tuple[Counter[str], list[Disagreement]]:
+    """Sweep the pairs of entries, the table of one size, whose first
+    diagram is in rows; return the report's counters, by field name, and
+    the disagreements found.
 
     Every pair takes one path, whatever verify_exhaustive's prune says.  A
     distinct pair that fails conditions 1 and 2 and whose fingerprints
@@ -507,7 +504,7 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     On a same-diagram row the identity is counted without a decision, as
     act(id, E_D) == E_D; every other representative is decided.
     """
-    entries = _table(n)
+    n = entries[0].diagram.size
     count = len(entries)
     per_pair = factorial(n)
     identity = tuple(range(1, n + 1))
@@ -558,25 +555,27 @@ def _verify_rows(n: int, rows: tuple[int, ...]) -> tuple[Counter[str], list[Disa
     return counts, disagreements
 
 
-# Workers are forked where the platform can, so that they inherit the table
-# the parent has built instead of building it again.  ncskew starts no
+# Workers are forked where the platform can, which hands them the parent's
+# table unpickled; under spawn it is pickled, not rebuilt.  ncskew starts no
 # threads, so no lock is held by another thread when it forks.
 _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
 
-def _send_rows(send: Connection, n: int, rows: tuple[int, ...]) -> None:
+def _send_rows(send: Connection, entries: tuple[_Entry, ...], rows: tuple[int, ...]) -> None:
     """A worker's body: send back what _verify_rows returns.  If it raises,
     the worker prints the traceback and exits without sending."""
-    send.send(_verify_rows(n, rows))
+    send.send(_verify_rows(entries, rows))
 
 
-def _start_worker(n: int, rows: tuple[int, ...]) -> tuple[BaseProcess, Connection]:
-    """Start a worker process sweeping rows; return it and the receiving
-    end of its pipe, whose sending end only the worker holds."""
+def _start_worker(
+    entries: tuple[_Entry, ...], rows: tuple[int, ...]
+) -> tuple[BaseProcess, Connection]:
+    """Start a worker process sweeping rows of entries; return it and the
+    receiving end of its pipe, whose sending end only the worker holds."""
     receive, send = _CONTEXT.Pipe(duplex=False)
-    process = _CONTEXT.Process(target=_send_rows, args=(send, n, rows), daemon=True)
+    process = _CONTEXT.Process(target=_send_rows, args=(send, entries, rows), daemon=True)
     process.start()
     send.close()
     return process, receive
@@ -607,15 +606,16 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         raise ValueError("n must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    count = len(_table(n))
+    entries = tuple(_entry(d) for d in connected_diagrams(n))
+    count = len(entries)
     rows = tuple(range(count))
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = [rows[k::jobs] for k in range(jobs) if rows[k::jobs]]
     workers: list[tuple[BaseProcess, Connection]] = []
     try:
         for chunk in chunks[1:]:
-            workers.append(_start_worker(n, chunk))
-        partials = [_verify_rows(n, chunks[0])]
+            workers.append(_start_worker(entries, chunk))
+        partials = [_verify_rows(entries, chunks[0])]
         for process, receive in workers:
             try:
                 partials.append(receive.recv())

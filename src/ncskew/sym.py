@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Union
 
@@ -179,7 +178,6 @@ def ribbon_schur(alpha: Composition) -> SymExpansion:
     )
 
 
-@lru_cache(maxsize=1024)
 def overlap_partitions(d: SkewDiagram) -> tuple[Partition, ...]:
     """The k-row overlap partitions of d for k = 1 .. row count.
 

@@ -85,12 +85,14 @@ def parse_set_partition(text: str) -> SetPartition:
         return SetPartition(())
     if not text:
         raise ParseError("empty set partition")
+    chunks = [chunk.strip() for chunk in text.split("/")]
+    if not all(chunks):
+        raise ParseError(f"empty block in set partition: {text!r}")
+    # Digit runs are printed only up to 9 entries; past that a chunk is one entry.
+    digit_runs = sum(chunk.count(",") + 1 if "," in chunk else len(chunk) for chunk in chunks) <= 9
     blocks = []
-    for chunk in text.split("/"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ParseError(f"empty block in set partition: {text!r}")
-        if "," in chunk:
+    for chunk in chunks:
+        if "," in chunk or not digit_runs:
             blocks.append(tuple(_parse_int(t) for t in chunk.split(",")))
         else:
             if not chunk.isdigit():
@@ -163,7 +165,7 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
+    if not re.fullmatch(r"-?\d+(/\d*[1-9]\d*)?", text):  # no zero denominator
         raise ParseError(f"not a rational: {text!r}")
     return Fraction(text)
 
@@ -201,24 +203,20 @@ def machine_lines(e: SymExpansion | NCExpansion) -> list[str]:
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    pieces = re.split(r"([+-])", text)
+    """The signed terms of text: one sign between terms, at most one before the first."""
     out = []
-    sign = 1
-    expect_term = True
-    for piece in pieces:
+    sign = None
+    for piece in re.split(r"([+-])", text):
         piece = piece.strip()
-        if not piece:
-            continue
-        if piece in "+-":
-            if not expect_term or piece == "-":
-                sign = -1 if piece == "-" else 1
-            expect_term = True
-            continue
-        out.append((sign, piece))
-        sign = 1
-        expect_term = False
-    if expect_term and out:
-        raise ParseError(f"dangling sign in expansion: {text!r}")
+        if piece in ("+", "-"):
+            if sign is not None:
+                raise ParseError(f"sign {piece!r} follows a sign in expansion: {text!r}")
+            sign = piece
+        elif piece:
+            out.append((-1 if sign == "-" else 1, piece))
+            sign = None
+    if sign is not None:
+        raise ParseError(f"dangling sign {sign!r} in expansion: {text!r}")
     return out
 
 

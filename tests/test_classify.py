@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import itertools
 import math
 import multiprocessing
@@ -31,6 +32,11 @@ from ncskew.classify import (
 
 HOOK = ribbon(Composition((2, 1)))
 ROTATED = SkewDiagram(Partition((2, 2)), Partition((1,)))
+
+
+def _table(n):
+    """The per-diagram table verify_exhaustive builds for size n."""
+    return tuple(classify._entry(d) for d in connected_diagrams(n))
 
 
 def test_labeled_diagram_validation():
@@ -246,6 +252,15 @@ def test_verify_caps_the_workers_at_the_cores(monkeypatch):
     assert verify_exhaustive(4, jobs=64) == base
 
 
+def test_no_entry_outlives_the_sweep():
+    """verify_exhaustive builds its table per call, so no _Entry is left
+    alive once it returns, whether or not a worker process swept beside it."""
+    for jobs in (1, 2):
+        verify_exhaustive(6, jobs)
+        gc.collect()
+        assert sum(isinstance(o, classify._Entry) for o in gc.get_objects()) == 0, jobs
+
+
 def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
     """Even if every diagram had a fingerprint of its own, the pairs meeting
     conditions 1 and 2 would still get the full check: the report is the
@@ -271,12 +286,8 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
 
     monkeypatch.setattr(classify, "_entry", own_fingerprint)
     monkeypatch.setattr(NCExpansion, "relabels_to", recording_relabels_to)
-    classify._table.cache_clear()
-    try:
-        report = verify_exhaustive(n)
-        entries = classify._table(n)
-    finally:
-        classify._table.cache_clear()
+    report = verify_exhaustive(n)
+    entries = _table(n)
     diagrams = [e.diagram for e in entries]
     index = {id(e.expansion): k for k, e in enumerate(entries)}
     reached = {}
@@ -311,7 +322,7 @@ def test_fingerprints_refine_the_overlap_partitions_and_match_the_commutative_im
     fingerprint filter skips every pair the overlap condition would; and
     two fingerprints are equal exactly when the commutative images are."""
     for n in range(1, 8):
-        entries = classify._table(n)
+        entries = _table(n)
         overlaps = [overlap_partitions(e.diagram) for e in entries]
         images = [to_commutative(e.expansion) for e in entries]
         for i, first in enumerate(entries):
@@ -426,7 +437,7 @@ def _per_coset(n):
     """The indexed sweep kernel without the Young subgroup quotient, kept as
     an oracle for it: the sigma of every pivot coset, of every predicted
     coset and of the atoms' Young subgroup are decided one at a time."""
-    entries = classify._table(n)
+    entries = _table(n)
     count = len(entries)
     per_pair = math.factorial(n)
     found = []
@@ -501,7 +512,7 @@ def test_right_multiplication_convention():
             assert len(coset) == len(young) == classify._young_order(pieces)
             assert set(coset) == expected
     for n in range(1, 9):
-        for e in classify._table(n):
+        for e in _table(n):
             for cell in e.cells:
                 for a, b in zip(cell, cell[1:]):
                     swap = list(range(1, n + 1))
@@ -514,7 +525,7 @@ def test_cells_are_the_atoms():
     """Cutting the atoms along the row blocks cuts nothing: every atom of
     every connected diagram with n <= 8 lies inside one row block."""
     for n in range(1, 9):
-        for e in classify._table(n):
+        for e in _table(n):
             assert e.cells == e.atoms == classify._atoms(e.diagram), e.diagram
 
 
@@ -595,15 +606,15 @@ def test_a_failing_worker_makes_the_sweep_raise(monkeypatch):
     start_worker = classify._start_worker
     started = []
 
-    def raising(n, rows):
+    def raising(entries, rows):
         if 0 not in rows:
             raise ValueError("a failing worker")
-        return verify_rows(n, rows)
+        return verify_rows(entries, rows)
 
-    def dying(n, rows):
+    def dying(entries, rows):
         if 0 not in rows:
             os._exit(3)
-        return verify_rows(n, rows)
+        return verify_rows(entries, rows)
 
     def recording_start_worker(*args):
         worker = start_worker(*args)
@@ -629,7 +640,7 @@ def test_relabeling_keeps_colours():
     point's colour in E_D, so _observed may deal by colour."""
     distinct_hits = 0
     for n in range(1, 7):
-        entries = classify._table(n)
+        entries = _table(n)
         perms = list(itertools.permutations(range(1, n + 1)))
         for i, first in enumerate(entries):
             for j, second in enumerate(entries):
@@ -651,7 +662,7 @@ def test_colours_are_exact_counts_constant_on_cells():
     same blocks, so they share a colour, for every connected diagram with
     n <= 8."""
     for n in range(1, 9):
-        for e in classify._table(n):
+        for e in _table(n):
             keys = [key.blocks for key in e.expansion.support()]
             for x in range(1, n + 1):
                 colour = e.colours[x - 1]
@@ -667,7 +678,6 @@ def test_rows_phase_deals_by_colour(monkeypatch):
     the identity undecided on a same-diagram row, leaves the sweep of n=7
     at most 250 labelings to decide (1,918 without colours, 333 deciding
     the identity): no same-diagram row decides the identity."""
-    classify._table(7)
     calls = []
     relabels_to = NCExpansion.relabels_to
 
@@ -705,12 +715,8 @@ def test_building_the_table_decides_no_labeling(monkeypatch):
         return relabels_to(*args)
 
     monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
-    classify._table.cache_clear()
-    try:
-        for n in range(1, 8):
-            classify._table(n)
-    finally:
-        classify._table.cache_clear()
+    for n in range(1, 8):
+        _table(n)
     assert not calls
 
 
@@ -725,20 +731,16 @@ def test_false_atoms_leave_the_quotient_alone(monkeypatch):
         return dataclasses.replace(entry(d), atoms=classify.interval_blocks(d.row_lengths().parts))
 
     monkeypatch.setattr(classify, "_entry", rows_as_atoms)
-    classify._table.cache_clear()
-    try:
-        for n in (4, 5):
-            true_atoms = [classify._atoms(d) for d in connected_diagrams(n)]
-            entries = classify._table(n)
-            assert [e.cells for e in entries] == true_atoms
-            assert any(e.atoms != atoms for e, atoms in zip(entries, true_atoms))
-            scan = _scan(n, atoms=lambda d: classify.interval_blocks(d.row_lengths().parts))
-            assert any(d.first == d.second for d in scan.disagreements)
-            assert _per_coset(n) == scan
-            for jobs in (1, 2):
-                assert verify_exhaustive(n, jobs) == scan, (n, jobs)
-    finally:
-        classify._table.cache_clear()
+    for n in (4, 5):
+        true_atoms = [classify._atoms(d) for d in connected_diagrams(n)]
+        entries = _table(n)
+        assert [e.cells for e in entries] == true_atoms
+        assert any(e.atoms != atoms for e, atoms in zip(entries, true_atoms))
+        scan = _scan(n, atoms=lambda d: classify.interval_blocks(d.row_lengths().parts))
+        assert any(d.first == d.second for d in scan.disagreements)
+        assert _per_coset(n) == scan
+        for jobs in (1, 2):
+            assert verify_exhaustive(n, jobs) == scan, (n, jobs)
 
 
 def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
@@ -759,14 +761,10 @@ def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
     b = LabeledDiagram(Permutation((3, 2, 1)), ROTATED)
     assert expansions_equal(a, b)
     assert failing_condition(a, b) == 3
-    classify._table.cache_clear()
-    try:
-        for n in (4, 5):
-            scan = _scan(n, wrong=True)
-            assert {d.first == d.second for d in scan.disagreements} == {True, False}
-            assert verify_exhaustive(n) == scan
-    finally:
-        classify._table.cache_clear()
+    for n in (4, 5):
+        scan = _scan(n, wrong=True)
+        assert {d.first == d.second for d in scan.disagreements} == {True, False}
+        assert verify_exhaustive(n) == scan
 
 
 @pytest.mark.slow

@@ -123,7 +123,7 @@ def test_overlap_agreement_detects_differences():
 
 
 def test_overlap_agreement_is_the_all_windows_comparison():
-    """Comparing the cached per-diagram tuples decides exactly what
+    """Comparing the per-diagram tuples decides exactly what
     comparing the overlap partitions for every k up to the larger row
     count does."""
     diagrams = [d for n in range(1, 7) for d in connected_diagrams(n)]

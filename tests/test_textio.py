@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,11 @@ def test_set_partition_round_trip():
     text = textio.format_set_partition(big)
     assert "," in text
     assert textio.parse_set_partition(text) == big
+    # past 9 entries a comma-free block is one entry, not a run of digits
+    for text in ("1,2,3,4,5,6,7,8,9/10", "1/2/3/4/5/6/7/8/9/10", "1,3,5,7,9,11/2/4,6,8,10"):
+        pi = textio.parse_set_partition(text)
+        assert pi.size in (10, 11)
+        assert textio.format_set_partition(pi) == text
     with pytest.raises(ParseError):
         textio.parse_set_partition("13")  # gap
 
@@ -77,8 +83,9 @@ def test_diagram_round_trip():
 def test_rational_round_trip():
     for q in (Fraction(0), Fraction(5), Fraction(-1, 6), Fraction(7, 3)):
         assert textio.parse_rational(textio.format_rational(q)) == q
-    with pytest.raises(ParseError):
-        textio.parse_rational("1.5")
+    for bad in ("1.5", "1/0", "-3/00"):
+        with pytest.raises(ParseError, match=bad):
+            textio.parse_rational(bad)
 
 
 def test_expansion_formatting():
@@ -103,13 +110,21 @@ def test_nc_expansion_round_trip():
         for d in connected_diagrams(n):
             e = ncsym.source_skew_schur(d)
             assert textio.parse_nc_expansion(str(e)) == e
+    for outer in ((9, 1), (1,) * 10, (10, 1)):
+        e = ncsym.source_skew_schur(SkewDiagram(Partition(outer)))
+        assert textio.parse_nc_expansion(str(e)) == e, outer
     text = "1/2*h[13/2] - 1/6*h[123]"
     parsed = textio.parse_nc_expansion(text)
     assert str(parsed) == text
-    with pytest.raises(ParseError):
-        textio.parse_nc_expansion("h[12/3] +")
-    with pytest.raises(ParseError):
-        textio.parse_nc_expansion("2x*h[1]")
+    for bad, token in (
+        ("h[12/3] +", "'+'"),
+        ("2x*h[1]", "'2x'"),
+        ("1/0*h[1]", "'1/0'"),
+        ("+", "'+'"),
+        ("- - h[1]", "'-'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(token)):
+            textio.parse_nc_expansion(bad)
 
 
 def test_machine_lines_nc():
