@@ -27,7 +27,8 @@ row block, so condition 3, which reads only the image of each row block,
 cannot tell sigma y from sigma either.  Every verdict of the sweep is then
 constant on each right coset sigma Y, and one representative per coset is
 decided by relabels_to and counted |Y| times.  Both premises hold by
-construction, with no check at run time (see _Entry).
+construction (see _Entry), and the fact the second rests on, that the row
+blocks are a key of the source expansion, is checked for every diagram.
 
 Within a coset enumeration the sweep deals by colour, one round of the
 colour refinement that starts partition backtrack (McKay and Piperno,
@@ -249,19 +250,6 @@ def _uniform(n: int) -> tuple[Colouring, Colouring]:
     return ((),) * n, ((),) * n
 
 
-def _stabilizer_order(sizes: tuple[int, ...]) -> int:
-    """How many sigma relabel a set partition onto itself, given its block
-    sizes in sorted order: permute inside each block, and permute the m
-    blocks of each size among themselves, m! built up one factor per block
-    of each run of equal sizes."""
-    order, run, previous = 1, 0, 0
-    for size in sizes:
-        run = run + 1 if size == previous else 1
-        previous = size
-        order *= factorial(size) * run
-    return order
-
-
 def _young_order(pieces: Blocks) -> int:
     """The order of the Young subgroup of the pieces."""
     return prod(factorial(len(piece)) for piece in pieces)
@@ -359,19 +347,22 @@ class _Entry:
     """What the sweep needs of one diagram.
 
     keys_by_signature groups the keys of the source expansion by their
-    signature, and signatures lists (stabilizer order, signature) once per
-    signature.  fingerprint is the sorted tuple of (signature, number of
-    keys), which every sigma keeps.  partner is _rotation_partner of the
-    diagram, and atoms, its _atoms, give the same-diagram block condition.
+    signature, and row_signature is the signature of the row blocks, the
+    key _observed pivots on.  fingerprint is the sorted tuple of
+    (signature, number of keys), which every sigma keeps.  partner is
+    _rotation_partner of the diagram, and atoms, its _atoms, give the
+    same-diagram block condition.
 
-    cells, whose Young subgroup Y the sweep works modulo, are the nonempty
-    intersections of an atom with a row block.  Every key block is a union
-    of atoms, hence of cells, so Y fixes E_D; every row block is a union of
-    cells, so Y keeps each row block and condition 3 cannot tell sigma y
-    from sigma.  The cells are the atoms: the row blocks are a key of E_D,
-    with coefficient 1/prod r_i!, as the term of w has subscripts A[i, w(i)]
-    with A[i, i] = r_i > 0 and each row of A strictly increasing, so the
-    identity is the only term whose nonzero subscripts are the row lengths.
+    cells, whose Young subgroup Y the sweep works modulo, are the atoms,
+    in a field of their own so that the quotient does not follow the block
+    condition that atoms gives.  Every key block is a union of atoms, so Y
+    fixes E_D.  The row blocks are a key of E_D, with coefficient
+    1/prod r_i!, as the term of w has subscripts A[i, w(i)] with
+    A[i, i] = r_i > 0 and each row of A strictly increasing, so the identity
+    is the only term whose nonzero subscripts are the row lengths; _entry
+    checks that key for every diagram.  So every row block is a union of
+    atoms too, Y keeps each row block, and condition 3 cannot tell sigma y
+    from sigma.
 
     colours holds the colour of each of 1..n: (c_1, ..., c_n), c_k the
     number of keys whose block holding the point has k points.  A sigma
@@ -383,7 +374,7 @@ class _Entry:
     diagram: SkewDiagram
     expansion: NCExpansion
     keys_by_signature: dict[Signature, tuple[Blocks, ...]]
-    signatures: tuple[tuple[int, Signature], ...]
+    row_signature: Signature
     fingerprint: tuple[tuple[Signature, int], ...]
     rows: Blocks
     atoms: Blocks
@@ -396,8 +387,15 @@ def _entry(d: SkewDiagram) -> _Entry:
     """One loop over the raw keys of E_D groups them by signature.  A
     point's colour adds up, over the blocks holding it, how many keys hold
     each block: the keys are interval set partitions, so there are at most
-    n(n + 1)/2 distinct blocks to add up, however many keys there are."""
+    n(n + 1)/2 distinct blocks to add up, however many keys there are.
+
+    Raises RuntimeError if the row blocks are not a key of E_D, as the
+    sweep's pivot and its quotient by the atoms both rest on that key."""
     src = source_skew_schur(d)
+    rows = interval_blocks(d.row_lengths().parts)
+    row_coeff = src._terms.get(rows)
+    if row_coeff is None:
+        raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")
     keys_by_signature: dict[Signature, list[Blocks]] = {}
     for raw, coeff in src._terms.items():
         sig = tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator
@@ -407,17 +405,16 @@ def _entry(d: SkewDiagram) -> _Entry:
     for block, keys in held.items():
         for x in block:
             counts[x - 1][len(block) - 1] += keys
-    rows = interval_blocks(d.row_lengths().parts)
     atoms = _atoms(d)
     return _Entry(
         diagram=d,
         expansion=src,
         keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
-        signatures=tuple((_stabilizer_order(sig[0]), sig) for sig in keys_by_signature),
+        row_signature=(tuple(sorted(map(len, rows))), row_coeff.numerator, row_coeff.denominator),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=rows,
         atoms=atoms,
-        cells=tuple(piece for atom in atoms for piece in _split(atom, rows)),
+        cells=atoms,
         colours=tuple(map(tuple, counts)),
         partner=_rotation_partner(d),
     )
@@ -433,13 +430,12 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     term of E_D first, the pivot, only reorders it: a sigma can pass only
     if it maps the pivot onto a key of E_T with the pivot's signature.  For
     each such key those sigma form one coset of the pivot's stabilizer.
-    The pieces are the pivot's blocks cut along first's cells; their Young
-    subgroup fixes the pivot and, every key being a union of cells, E_D, so
-    relabels_to decides a whole coset sigma Y as it decides sigma, and each
-    representative from _block_maps is decided by relabels_to.  Every other
-    sigma fails at the pivot.  The pivot is a key whose signature makes the
-    fewest sigma to decide: stabilizer order times the number of keys of
-    E_T with that signature.
+    This holds for any key of E_D; the pivot is the row blocks, which
+    _entry checks are one.  The pieces are the pivot's blocks cut along
+    first's cells; their Young subgroup fixes the pivot and, every key being
+    a union of cells, E_D, so relabels_to decides a whole coset sigma Y as
+    it decides sigma, and each representative from _block_maps is decided
+    by relabels_to.  Every other sigma fails at the pivot.
 
     Each piece is dealt only the points of its target block with the
     piece's colour (see _Entry): a sigma that sends some point to a point
@@ -452,17 +448,13 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     target = second.expansion
     if len(first.expansion) != len(target):
         return
-    candidates = second.keys_by_signature
-    _stabilizer, sig = min(
-        first.signatures, key=lambda item: item[0] * len(candidates.get(item[1], ()))
-    )
-    pivot = first.keys_by_signature[sig][0]
+    pivot = first.rows
     split = [_split(block, first.cells) for block in pivot]
     pieces = sum(split, ())
     colours = first.colours, second.colours
     relabels_to = first.expansion.relabels_to
     known = tuple(range(1, first.diagram.size + 1)) if first is second else None
-    for key in candidates.get(sig, ()):
+    for key in second.keys_by_signature.get(first.row_signature, ()):
         choices = [
             (block_pieces, tuple(c for c in key if len(c) == len(block)))
             for block, block_pieces in zip(pivot, split)

@@ -235,13 +235,18 @@ def _parse_term(term: str, parse_key):
 
 def _parse_expansion(text: str, expansion_type, parse_key, empty_key):
     text = text.strip()
+    if not text:
+        raise ParseError("empty expansion")
     if text == "0":
         return expansion_type()
     pairs = []
     for sign, term in _split_signed_terms(text):
         key, coeff = _parse_term(term, lambda t: parse_key(t) if t else empty_key)
         pairs.append((key, sign * coeff))
-    return expansion_type(pairs)
+    try:
+        return expansion_type(pairs)
+    except ValueError as exc:  # the surviving terms mix degrees
+        raise ParseError(f"{exc}: {text!r}") from None
 
 
 def parse_sym_expansion(text: str) -> SymExpansion:

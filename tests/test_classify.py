@@ -14,7 +14,7 @@ import pytest
 from ncskew import classify
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
-from ncskew.ncsym import NCExpansion, skew_schur, source_skew_schur, to_commutative
+from ncskew.ncsym import NCExpansion, h, skew_schur, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition, relabel, set_partitions
 from ncskew.sym import overlap_partitions
@@ -415,15 +415,26 @@ def _per_coset_block_maps(choices):
     return extend(0)
 
 
+def _stabilizer_order(key):
+    """How many sigma relabel the set partition key onto itself: permute
+    inside each block, and the m blocks of each size among themselves."""
+    sizes = Counter(len(block) for block in key)
+    return math.prod(math.factorial(s) ** m * math.factorial(m) for s, m in sizes.items())
+
+
 def _per_coset_observed(first, second):
     """Every sigma with act(sigma, E_D) == E_T, decided one at a time over
-    the cosets of the pivot's stabilizer."""
+    the cosets of the pivot's stabilizer.  The pivot is not the kernel's row
+    blocks but a key whose signature leaves the fewest sigma to decide:
+    stabilizer order times the number of keys of E_T with that signature."""
     target = second.expansion
     if len(first.expansion) != len(target):
         return
     candidates = second.keys_by_signature
-    _stabilizer, sig = min(
-        first.signatures, key=lambda item: item[0] * len(candidates.get(item[1], ()))
+    sig = min(
+        first.keys_by_signature,
+        key=lambda sig: _stabilizer_order(first.keys_by_signature[sig][0])
+        * len(candidates.get(sig, ())),
     )
     pivot = first.keys_by_signature[sig][0]
     for key in candidates.get(sig, ()):
@@ -522,17 +533,21 @@ def test_right_multiplication_convention():
 
 
 def test_cells_are_the_atoms():
-    """Cutting the atoms along the row blocks cuts nothing: every atom of
-    every connected diagram with n <= 8 lies inside one row block."""
+    """The sweep's cells are the atoms, and cutting them along the row
+    blocks would cut nothing: every atom of every connected diagram with
+    n <= 8 lies inside one row block."""
     for n in range(1, 9):
         for e in _table(n):
             assert e.cells == e.atoms == classify._atoms(e.diagram), e.diagram
+            for atom in e.atoms:
+                assert sum(set(atom) <= set(row) for row in e.rows) == 1, (e.diagram, atom)
 
 
 def _reference_entry(d):
     """The table entry built the long way: atoms by scanning every block
-    of every key for every point, stabilizer orders from a Counter of the
-    block sizes, colours counted key by key and point by point."""
+    of every key for every point, the atoms cut along the row blocks, the
+    row signature from the row lengths, colours counted key by key and
+    point by point."""
     src = source_skew_schur(d)
     n = d.size
     keys_by_signature = {}
@@ -549,17 +564,12 @@ def _reference_entry(d):
         grouped.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
     atoms = tuple(tuple(atom) for atom in grouped.values())
     rows = classify.interval_blocks(d.row_lengths().parts)
-
-    def stabilizer_order(key):
-        sizes = Counter(len(block) for block in key)
-        return math.prod(math.factorial(s) ** m * math.factorial(m) for s, m in sizes.items())
-
     rotated = d.rotate()
     return classify._Entry(
         diagram=d,
         expansion=src,
         keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
-        signatures=tuple((stabilizer_order(keys[0]), sig) for sig, keys in keys_by_signature.items()),
+        row_signature=(tuple(sorted(d.row_lengths().parts)), 1, d.row_lengths().factorial()),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=rows,
         atoms=atoms,
@@ -676,8 +686,8 @@ def test_colours_are_exact_counts_constant_on_cells():
 def test_rows_phase_deals_by_colour(monkeypatch):
     """Dealing each piece only the target points of its colour, and taking
     the identity undecided on a same-diagram row, leaves the sweep of n=7
-    at most 250 labelings to decide (1,918 without colours, 333 deciding
-    the identity): no same-diagram row decides the identity."""
+    at most 250 labelings to decide (132; 7,924 without colours, 342
+    deciding the identity): no same-diagram row decides the identity."""
     calls = []
     relabels_to = NCExpansion.relabels_to
 
@@ -704,9 +714,20 @@ def test_row_blocks_are_a_key_of_the_source_expansion():
             assert coefficient == Fraction(1, d.row_lengths().factorial()), d
 
 
+def test_an_entry_without_the_row_blocks_key_is_refused(monkeypatch):
+    """The sweep pivots on the row blocks and quotients by the atoms only
+    because the row blocks are a key of E_D, so _entry refuses an expansion
+    without that key, with an error that python -O keeps."""
+    d = HOOK
+    one_block = h(SetPartition((tuple(range(1, d.size + 1)),)))
+    monkeypatch.setattr(classify, "source_skew_schur", lambda _d: one_block)
+    with pytest.raises(RuntimeError, match="row blocks"):
+        classify._entry(d)
+
+
 def test_building_the_table_decides_no_labeling(monkeypatch):
-    """The cells come from the atoms and rows alone: building the table
-    makes no relabels_to call."""
+    """The cells are the atoms and the row-blocks key is looked up, not
+    decided: building the table makes no relabels_to call."""
     calls = []
     relabels_to = NCExpansion.relabels_to
 

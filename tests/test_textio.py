@@ -103,6 +103,13 @@ def test_sym_expansion_round_trip():
             e = sym.skew_schur(d)
             assert textio.parse_sym_expansion(str(e)) == e
     assert textio.parse_sym_expansion("0") == sym.SymExpansion({})
+    for bad, token in (
+        ("h[1] + h[1,1]", "'h[1] + h[1,1]'"),
+        ("", "empty expansion"),
+        (" \t\n", "empty expansion"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(token)):
+            textio.parse_sym_expansion(bad)
 
 
 def test_nc_expansion_round_trip():
@@ -116,12 +123,17 @@ def test_nc_expansion_round_trip():
     text = "1/2*h[13/2] - 1/6*h[123]"
     parsed = textio.parse_nc_expansion(text)
     assert str(parsed) == text
+    assert textio.parse_nc_expansion(" 0 ") == ncsym.NCExpansion({})
     for bad, token in (
         ("h[12/3] +", "'+'"),
         ("2x*h[1]", "'2x'"),
         ("1/0*h[1]", "'1/0'"),
         ("+", "'+'"),
         ("- - h[1]", "'-'"),
+        ("h[] + h[1]", "'h[] + h[1]'"),
+        ("h[1] + h[12]", "'h[1] + h[12]'"),
+        ("", "empty expansion"),
+        ("   ", "empty expansion"),
     ):
         with pytest.raises(ParseError, match=re.escape(token)):
             textio.parse_nc_expansion(bad)
