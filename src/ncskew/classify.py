@@ -466,45 +466,43 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
 
 def _verify_rows(
     entries: tuple[_Entry, ...], rows: tuple[int, ...]
-) -> tuple[Counter[str], list[Disagreement]]:
+) -> tuple[int, int, list[Disagreement]]:
     """Sweep the pairs of entries, the table of one size, whose first
-    diagram is in rows; return the report's counters, by field name, and
-    the disagreements found.
+    diagram is in rows; return same_diagram_equal and same_diagram_condition
+    over them and the disagreements found.  verify_exhaustive works out the
+    other counters of the report.
 
     Every pair takes one path, whatever verify_exhaustive's prune says.  A
     distinct pair that fails conditions 1 and 2 and whose fingerprints
-    differ has no observed sigma and no predicted one, so it counts as n!
-    agreements at once: the table is grouped by fingerprint once, and each
-    row visits only the other diagrams of its bucket and its rotation
-    partner, whatever the partner's bucket.  For those pairs only the sigma
-    where predicate or oracle can be true are generated: the observed sigma
-    (_observed) and, for a pair meeting conditions 1 and 2, the predicted
-    coset, where sigma maps each row block onto its _row_target.  The
-    disagreements are the observed sigma not predicted and the predicted
-    sigma not observed; every other labeling agrees, both sides being
-    false.  For same-diagram pairs the block condition is the Young
-    subgroup of the atoms.
+    differ has no observed sigma and no predicted one, so all its labelings
+    agree: the table is grouped by fingerprint once, and each row visits
+    only itself, its bucket mates and its rotation partner, whatever the
+    partner's bucket.  _observed yields the observed sigma, and it is the
+    only place relabels_to decides one.  The predicted sigma are the block
+    condition's on a same-diagram pair (each atom onto itself) and, on a
+    rotation pair, the coset mapping each row block onto its _row_target.
+    The disagreements are the predicted sigma not observed and, on distinct
+    pairs only, the observed sigma not predicted: the converse of the block
+    condition is only observed.  Every other labeling agrees, both sides
+    being false.
 
     All three sets are unions of right cosets sigma Y, for Y the Young
-    subgroup of the first diagram's cells cut along the blocks enumerated,
-    and both verdicts are constant on each coset (see _Entry).  So
-    _block_maps yields one representative per coset, relabels_to decides
-    it, and it counts |Y| times; a disagreeing representative is expanded
-    back into the |Y| labelings of its coset, so the report is the one a
-    sigma by sigma sweep gives.  The block condition and the predicted
-    coset both map each block onto one target, so one helper decides both.
-    On a same-diagram row the identity is counted without a decision, as
-    act(id, E_D) == E_D; every other representative is decided.
+    subgroup of the first diagram's cells, and both verdicts are constant
+    on each coset (see _Entry).  One representative, the sigma increasing
+    on every cell, stands for its coset and counts |Y| times; a disagreeing
+    one is expanded back into its coset, so the report is the one a sigma
+    by sigma sweep gives.  Atoms and row blocks are unions of cells, so
+    _block_maps cuts them into the cells themselves and yields the
+    representatives _observed does: a predicted coset is observed exactly
+    when its representative is one _observed yielded.
     """
     n = entries[0].diagram.size
     count = len(entries)
-    per_pair = factorial(n)
-    identity = tuple(range(1, n + 1))
     index = {entry.diagram: k for k, entry in enumerate(entries)}
     buckets: dict[tuple[tuple[Signature, int], ...], list[int]] = {}
     for k, entry in enumerate(entries):
         buckets.setdefault(entry.fingerprint, []).append(k)
-    counts: Counter[str] = Counter()
+    same_equal = same_condition = 0
     disagreements: list[Disagreement] = []
 
     def disagree(i: int, j: int, images: tuple[int, ...], pieces: Blocks, predicted: bool) -> None:
@@ -513,38 +511,36 @@ def _verify_rows(
             for sigma in _coset(images, pieces)
         )
 
-    def decide_predicted(i: int, j: int, blocks: Blocks, targets: Blocks) -> int:
-        """Decide the sigma mapping each block onto its target, predicted
-        equal, one per coset sigma Y; return how many sigma they cover."""
-        first = entries[i]
-        choices = [(_split(b, first.cells), (t,)) for b, t in zip(blocks, targets)]
+    def check_predicted(
+        i: int, j: int, blocks: Blocks, targets: Blocks, observed: dict[tuple[int, ...], Blocks]
+    ) -> int:
+        """Report the predicted sigma, mapping each block onto its target,
+        that are not observed; return how many sigma are predicted."""
+        choices = [(_split(b, entries[i].cells), (t,)) for b, t in zip(blocks, targets)]
         pieces = _pieces(choices)
-        known = identity if i == j else None
         representatives = 0
         for images in _block_maps(choices, _uniform(n)):
             representatives += 1
-            if images != known and not first.expansion.relabels_to(images, entries[j].expansion):
+            if images not in observed:
                 disagree(i, j, images, pieces, True)
         return representatives * _young_order(pieces)
 
     for i in rows:
         first = entries[i]
         rotation = index.get(first.partner)
-        counts["pair_count"] += count - 1
-        counts["coset_checks"] += count * per_pair
-        counts["same_diagram_checks"] += per_pair
-        for _images, pieces in _observed(first, first):
-            counts["same_diagram_equal"] += _young_order(pieces)
-        counts["same_diagram_condition"] += decide_predicted(i, i, first.atoms, first.atoms)
-        seconds = {*buckets[first.fingerprint], rotation} - {i, None}
-        for j in sorted(seconds):
-            for images, pieces in _observed(first, entries[j]):
+        for j in sorted({i, *buckets[first.fingerprint], rotation} - {None}):
+            observed = dict(_observed(first, entries[j]))
+            if j == i:
+                same_equal += sum(map(_young_order, observed.values()))
+                same_condition += check_predicted(i, j, first.atoms, first.atoms, observed)
+                continue
+            for images, pieces in observed.items():
                 if not (j == rotation and _meets_condition_3(images, first.rows)):
                     disagree(i, j, images, pieces, False)
             if j == rotation:
-                decide_predicted(i, j, first.rows, tuple(_row_target(b, n) for b in first.rows))
-    counts["agreements"] = counts["coset_checks"] - len(disagreements)
-    return counts, disagreements
+                targets = tuple(_row_target(b, n) for b in first.rows)
+                check_predicted(i, j, first.rows, targets, observed)
+    return same_equal, same_condition, disagreements
 
 
 # Workers are forked where the platform can, which hands them the parent's
@@ -556,8 +552,9 @@ _CONTEXT = multiprocessing.get_context(
 
 
 def _send_rows(send: Connection, entries: tuple[_Entry, ...], rows: tuple[int, ...]) -> None:
-    """A worker's body: send back what _verify_rows returns.  If it raises,
-    the worker prints the traceback and exits without sending."""
+    """A worker's body: send back what _verify_rows returns for its rows,
+    two ints and the disagreements, which the parent adds to its own.  If
+    it raises, the worker prints the traceback and exits without sending."""
     send.send(_verify_rows(entries, rows))
 
 
@@ -580,14 +577,16 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     Labelings enter only through tau^-1 delta, so one sweep over sigma per
     pair covers all labeling pairs.  Same-diagram pairs are swept too,
     checking that the sufficient block condition never outruns the oracle.
-    Each sigma where the predicate or the oracle can hold is generated and
-    decided by the oracle, one per right coset of the Young subgroup of the
-    atoms, which stands for its whole coset; every other sigma
-    counts as an agreement, both sides being false there.  A pair that
-    fails conditions 1 and 2 and whose fingerprints differ is decided
-    whole, in one step, on every run.
-    prune has no effect: the fingerprint filter skips every pair that the
-    overlap condition once pruned.
+    Each sigma the oracle can accept is generated and decided by it, one
+    per right coset of the Young subgroup of the atoms, which stands for
+    its whole coset; each predicted coset is looked up among those accepted
+    (see _verify_rows), and every other sigma agrees, both sides being
+    false.  A pair that fails conditions 1 and 2 and whose fingerprints
+    differ is decided whole, in one step, on every run.  prune has no
+    effect: the fingerprint filter skips every pair that the overlap
+    condition once pruned.  For c diagrams there are c(c - 1) pairs,
+    c^2 n! coset checks and c n! same-diagram checks, and the agreements
+    are the coset checks less the disagreements.
 
     The rows are dealt round robin into min(jobs, os.cpu_count()) chunks;
     this process sweeps the first and a worker process each other one.  A
@@ -621,21 +620,19 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
             receive.close()
             process.terminate()
             process.join()
-    total: Counter[str] = Counter()
-    for counts, _ in partials:
-        total.update(counts)
+    equal, condition, found = zip(*partials)
     disagreements = sorted(
-        (d for _, found in partials for d in found),
-        key=lambda d: (d.pair_index, d.labeling),
+        (d for part in found for d in part), key=lambda d: (d.pair_index, d.labeling)
     )
+    checks = count * count * factorial(n)
     return VerificationReport(
         size=n,
         diagram_count=count,
-        pair_count=total["pair_count"],
-        coset_checks=total["coset_checks"],
-        agreements=total["agreements"],
+        pair_count=count * (count - 1),
+        coset_checks=checks,
+        agreements=checks - len(disagreements),
         disagreements=tuple(disagreements),
-        same_diagram_checks=total["same_diagram_checks"],
-        same_diagram_equal=total["same_diagram_equal"],
-        same_diagram_condition=total["same_diagram_condition"],
+        same_diagram_checks=count * factorial(n),
+        same_diagram_equal=sum(equal),
+        same_diagram_condition=sum(condition),
     )

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success (including NOT-EQUAL verdicts and passing
 verification runs), 1 for domain errors (invalid shapes, size mismatches,
-disconnected input, failed verification), 2 for parse errors.
+disconnected input, failed verification) and for a sweep that could not
+finish (a failed worker, an expansion without its row-blocks key), 2 for
+parse errors.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

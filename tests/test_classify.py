@@ -501,6 +501,32 @@ def test_kernel_matches_the_per_coset_kernel():
         assert report == per_coset and repr(report) == repr(per_coset), n
 
 
+def test_an_unobserved_predicted_coset_is_reported(monkeypatch):
+    """The predicted cosets are looked up among the sigma _observed yields,
+    not decided apart from it, so if _observed dropped the first coset it
+    yields for each rotation pair, every labeling of the dropped cosets
+    would be reported as predicted and not observed, and nothing else."""
+    observed = classify._observed
+    dropped = []
+
+    def dropping_first(first, second):
+        found = observed(first, second)
+        if second.diagram == first.partner:
+            images, pieces = next(found)
+            dropped.extend(
+                (first.diagram, second.diagram, sigma) for sigma in classify._coset(images, pieces)
+            )
+        return found
+
+    monkeypatch.setattr(classify, "_observed", dropping_first)
+    report = verify_exhaustive(5)
+    diagrams = list(connected_diagrams(5))
+    assert dropped
+    assert {(d.predicted, d.observed) for d in report.disagreements} == {(True, False)}
+    reported = [(diagrams[d.first], diagrams[d.second], d.labeling) for d in report.disagreements]
+    assert len(reported) == len(dropped) and set(reported) == set(dropped)
+
+
 def test_right_multiplication_convention():
     """sigma y, the sigma the quotient stands for, is x -> sigma(y(x)):
     Permutation's product, and relabeling by it is relabeling by y, then by
@@ -684,10 +710,12 @@ def test_colours_are_exact_counts_constant_on_cells():
 
 
 def test_rows_phase_deals_by_colour(monkeypatch):
-    """Dealing each piece only the target points of its colour, and taking
-    the identity undecided on a same-diagram row, leaves the sweep of n=7
-    at most 250 labelings to decide (132; 7,924 without colours, 342
-    deciding the identity): no same-diagram row decides the identity."""
+    """Dealing each piece only the target points of its colour, taking the
+    identity undecided on a same-diagram row, and looking the predicted
+    cosets up among the observed ones leaves the sweep of n=7 at most 100
+    labelings to decide (76; 7,868 without colours, 181 deciding the
+    identity): no same-diagram row decides the identity, and no labeling of
+    a pair is decided twice."""
     calls = []
     relabels_to = NCExpansion.relabels_to
 
@@ -698,9 +726,11 @@ def test_rows_phase_deals_by_colour(monkeypatch):
     monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
     report = verify_exhaustive(7)
     assert report.ok and report.same_diagram_equal == 9182
-    assert len(calls) <= 250
+    assert len(calls) <= 100
     identity = tuple(range(1, 8))
     assert not [c for c in calls if c[0] is c[2] and c[1] == identity]
+    decided = Counter((id(source), images, id(target)) for source, images, target in calls)
+    assert max(decided.values()) == 1
 
 
 def test_row_blocks_are_a_key_of_the_source_expansion():

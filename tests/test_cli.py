@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from ncskew import classify
 from ncskew.cli import main
+from ncskew.ncsym import h
+from ncskew.setpartitions import SetPartition
 
 
 def run(capsys, *args):
@@ -105,6 +108,18 @@ def test_verify_cap(capsys):
     code, _, err = run(capsys, "verify", "12")
     assert code == 1
     assert "--force" in err
+
+
+def test_verify_reports_a_sweep_that_cannot_run(capsys, monkeypatch):
+    """An expansion without its row-blocks key makes the sweep raise
+    RuntimeError; the CLI turns it into one error line and exit code 1."""
+    monkeypatch.setattr(
+        classify, "source_skew_schur", lambda d: h(SetPartition((tuple(range(1, d.size + 1)),)))
+    )
+    code, out, err = run(capsys, "verify", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the row blocks ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_seven_runs_without_force(capsys):
