@@ -141,19 +141,6 @@ def expansions_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
     return source_skew_schur(a.diagram).relabels_to(sigma.images, source_skew_schur(b.diagram))
 
 
-def _atoms(d: SkewDiagram) -> Blocks:
-    """1..n grouped by the blocks of the source expansion's keys that
-    contain each point.  Every block is a union of atoms, so the sigma
-    mapping each atom onto itself, the Young subgroup of the atoms, are
-    exactly the sigma preserving every block of every key.
-
-    Every key is an interval set partition (see source_skew_schur), so the
-    atoms are intervals too: x and x + 1 share every block exactly when no
-    block of any key ends at x."""
-    ends = sorted({block[-1] for raw in source_skew_schur(d)._terms for block in raw})
-    return interval_blocks(end - start for start, end in zip([0, *ends], ends))
-
-
 @dataclass(frozen=True)
 class SameDiagramVerdict:
     """Oracle verdict for one diagram labeled two ways, plus whether the
@@ -182,7 +169,7 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
     src = source_skew_schur(d)
     return SameDiagramVerdict(
         equal=src.relabels_to(sigma.images, src),
-        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(_atoms(d))),
+        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(_entry(d).atoms)),
     )
 
 
@@ -190,11 +177,13 @@ def count_equivalent(d: SkewDiagram) -> int:
     """How many labelings sigma make (sigma, d) match the source-labeled
     rotation of d.  Only defined for connected nonsymmetric ribbons; the
     classification says the answer is the factorial product of the row
-    lengths."""
+    lengths.  _observed yields one sigma per right coset of the Young
+    subgroup of d's cells, so the count is theirs times its order."""
     partner = _rotation_partner(d)
     if not d.is_connected() or partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    return sum(_young_order(pieces) for _, pieces in _observed(_entry(d), _entry(partner)))
+    first = _entry(d)
+    return sum(1 for _ in _observed(first, _entry(partner))) * _young_order(first.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +249,6 @@ def _split(block: tuple[int, ...], cells: Blocks) -> Blocks:
     return tuple(piece for cell in cells if (piece := tuple(x for x in cell if x in block)))
 
 
-def _pieces(choices) -> Blocks:
-    """All the pieces of a _block_maps choices sequence, block by block."""
-    return tuple(piece for pieces, _ in choices for piece in pieces)
-
-
 def _spread(
     values: tuple[int, ...], pieces: Blocks, colours: tuple[Colouring, Colouring]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -307,7 +291,7 @@ def _block_maps(choices, colours: tuple[Colouring, Colouring]) -> Iterator[tuple
     image and one iterator per block, so nothing proportional to the output
     is built.
     """
-    images = [0] * sum(len(piece) for piece in _pieces(choices))
+    images = [0] * sum(len(piece) for pieces, _ in choices for piece in pieces)
     used: set[tuple[int, ...]] = set()
     last = len(choices) - 1
 
@@ -350,8 +334,13 @@ class _Entry:
     signature, and row_signature is the signature of the row blocks, the
     key _observed pivots on.  fingerprint is the sorted tuple of
     (signature, number of keys), which every sigma keeps.  partner is
-    _rotation_partner of the diagram, and atoms, its _atoms, give the
-    same-diagram block condition.
+    _rotation_partner of the diagram, and atoms give the same-diagram block
+    condition: 1..n grouped by the key blocks that contain each point.
+    Every key is an interval set partition (see source_skew_schur), so the
+    atoms are intervals, and x and x + 1 share every block exactly when no
+    key block ends at x.  The sigma mapping each atom onto itself, the
+    Young subgroup of the atoms, are exactly those preserving every block
+    of every key.
 
     cells, whose Young subgroup Y the sweep works modulo, are the atoms,
     in a field of their own so that the quotient does not follow the block
@@ -384,10 +373,12 @@ class _Entry:
 
 
 def _entry(d: SkewDiagram) -> _Entry:
-    """One loop over the raw keys of E_D groups them by signature.  A
-    point's colour adds up, over the blocks holding it, how many keys hold
-    each block: the keys are interval set partitions, so there are at most
-    n(n + 1)/2 distinct blocks to add up, however many keys there are.
+    """One loop over the raw keys of E_D groups them by signature and
+    counts how many keys hold each distinct block.  A point's colour adds
+    up those counts over the blocks holding it, and the atoms are the
+    intervals between consecutive block ends: the keys are interval set
+    partitions, so there are at most n(n + 1)/2 distinct blocks, however
+    many keys there are.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
     sweep's pivot and its quotient by the atoms both rest on that key."""
@@ -405,7 +396,8 @@ def _entry(d: SkewDiagram) -> _Entry:
     for block, keys in held.items():
         for x in block:
             counts[x - 1][len(block) - 1] += keys
-    atoms = _atoms(d)
+    ends = sorted({block[-1] for block in held})
+    atoms = interval_blocks(end - start for start, end in zip([0, *ends], ends))
     return _Entry(
         diagram=d,
         expansion=src,
@@ -420,11 +412,11 @@ def _entry(d: SkewDiagram) -> _Entry:
     )
 
 
-def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], Blocks]]:
+def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     """Every sigma with act(sigma, E_D) == E_T, for E_D and E_T the source
-    expansions of first and second, one right coset of a Young subgroup at
-    a time: each item is a representative and the pieces whose Young
-    subgroup Y makes up its coset sigma Y.
+    expansions of first and second, one right coset sigma Y at a time, for
+    Y the Young subgroup of first's cells: each item is the images of the
+    representative increasing on every cell.
 
     relabels_to is a conjunction over the terms of E_D, so deciding one
     term of E_D first, the pivot, only reorders it: a sigma can pass only
@@ -432,10 +424,11 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
     each such key those sigma form one coset of the pivot's stabilizer.
     This holds for any key of E_D; the pivot is the row blocks, which
     _entry checks are one.  The pieces are the pivot's blocks cut along
-    first's cells; their Young subgroup fixes the pivot and, every key being
-    a union of cells, E_D, so relabels_to decides a whole coset sigma Y as
-    it decides sigma, and each representative from _block_maps is decided
-    by relabels_to.  Every other sigma fails at the pivot.
+    first's cells, which are the cells themselves, as every row block is a
+    union of cells; Y fixes the pivot and, every key being a union of cells,
+    E_D, so relabels_to decides a whole coset sigma Y as it decides sigma,
+    and each representative from _block_maps is decided by relabels_to.
+    Every other sigma fails at the pivot.
 
     Each piece is dealt only the points of its target block with the
     piece's colour (see _Entry): a sigma that sends some point to a point
@@ -450,7 +443,6 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
         return
     pivot = first.rows
     split = [_split(block, first.cells) for block in pivot]
-    pieces = sum(split, ())
     colours = first.colours, second.colours
     relabels_to = first.expansion.relabels_to
     known = tuple(range(1, first.diagram.size + 1)) if first is second else None
@@ -461,7 +453,7 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[tuple[int, ...], 
         ]
         for images in _block_maps(choices, colours):
             if images == known or relabels_to(images, target):
-                yield images, pieces
+                yield images
 
 
 def _verify_rows(
@@ -487,14 +479,14 @@ def _verify_rows(
     being false.
 
     All three sets are unions of right cosets sigma Y, for Y the Young
-    subgroup of the first diagram's cells, and both verdicts are constant
-    on each coset (see _Entry).  One representative, the sigma increasing
-    on every cell, stands for its coset and counts |Y| times; a disagreeing
-    one is expanded back into its coset, so the report is the one a sigma
-    by sigma sweep gives.  Atoms and row blocks are unions of cells, so
-    _block_maps cuts them into the cells themselves and yields the
-    representatives _observed does: a predicted coset is observed exactly
-    when its representative is one _observed yielded.
+    subgroup of the first diagram's cells, one subgroup per row, and both
+    verdicts are constant on each coset (see _Entry).  One representative,
+    the sigma increasing on every cell, stands for its coset and counts |Y|
+    times; a disagreeing one is expanded back into its coset, so the report
+    is the one a sigma by sigma sweep gives.  Atoms and row blocks are
+    unions of cells, so _block_maps cuts them into the cells themselves and
+    yields the representatives _observed does: a predicted coset is
+    observed exactly when its representative is one _observed yielded.
     """
     n = entries[0].diagram.size
     count = len(entries)
@@ -505,38 +497,38 @@ def _verify_rows(
     same_equal = same_condition = 0
     disagreements: list[Disagreement] = []
 
-    def disagree(i: int, j: int, images: tuple[int, ...], pieces: Blocks, predicted: bool) -> None:
+    def disagree(i: int, j: int, images: tuple[int, ...], predicted: bool) -> None:
         disagreements.extend(
             Disagreement(i * count + j, i, j, sigma, predicted, not predicted)
-            for sigma in _coset(images, pieces)
+            for sigma in _coset(images, entries[i].cells)
         )
 
     def check_predicted(
-        i: int, j: int, blocks: Blocks, targets: Blocks, observed: dict[tuple[int, ...], Blocks]
+        i: int, j: int, blocks: Blocks, targets: Blocks, observed: set[tuple[int, ...]]
     ) -> int:
         """Report the predicted sigma, mapping each block onto its target,
-        that are not observed; return how many sigma are predicted."""
+        that are not observed; return how many cosets are predicted."""
         choices = [(_split(b, entries[i].cells), (t,)) for b, t in zip(blocks, targets)]
-        pieces = _pieces(choices)
         representatives = 0
         for images in _block_maps(choices, _uniform(n)):
             representatives += 1
             if images not in observed:
-                disagree(i, j, images, pieces, True)
-        return representatives * _young_order(pieces)
+                disagree(i, j, images, True)
+        return representatives
 
     for i in rows:
         first = entries[i]
+        order = _young_order(first.cells)
         rotation = index.get(first.partner)
         for j in sorted({i, *buckets[first.fingerprint], rotation} - {None}):
-            observed = dict(_observed(first, entries[j]))
+            observed = set(_observed(first, entries[j]))
             if j == i:
-                same_equal += sum(map(_young_order, observed.values()))
-                same_condition += check_predicted(i, j, first.atoms, first.atoms, observed)
+                same_equal += len(observed) * order
+                same_condition += check_predicted(i, j, first.atoms, first.atoms, observed) * order
                 continue
-            for images, pieces in observed.items():
+            for images in observed:
                 if not (j == rotation and _meets_condition_3(images, first.rows)):
-                    disagree(i, j, images, pieces, False)
+                    disagree(i, j, images, False)
             if j == rotation:
                 targets = tuple(_row_target(b, n) for b in first.rows)
                 check_predicted(i, j, first.rows, targets, observed)

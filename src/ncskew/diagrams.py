@@ -198,7 +198,10 @@ class SkewDiagram:
 
         This is the row-overlap statistic of Reiner, Shaw and van
         Willigenburg, "Coincidences among skew Schur functions" (Adv. Math.
-        2007).  For a canonical diagram it is max(0, outer_{i+k-1} - inner_i).
+        2007).  Row starts inner_i + 1 and row ends outer_i both weakly
+        decrease down the rows, so the window's last start is row i's and
+        its first end is row i+k-1's: the entry is max(0, outer_{i+k-1} -
+        inner_i).
 
         In a ribbon, an interior row of length 1 shares its one column with
         both neighbouring rows, so the window of those three rows overlaps
@@ -210,14 +213,10 @@ class SkewDiagram:
         """
         if not 1 <= k <= self.row_count:
             raise ValueError(f"k must be between 1 and {self.row_count}, got {k}")
-        rows = self.rows()
-        out = []
-        for i in range(self.row_count - k + 1):
-            window = rows[i : i + k]
-            start = max(s for s, _ in window)
-            end = min(e for _, e in window)
-            out.append(max(0, end - start + 1))
-        return WeakComposition(tuple(out))
+        lam, mu = self.outer.parts, _padded(self.inner.parts, self.row_count)
+        return WeakComposition(
+            tuple(max(0, lam[i + k - 1] - mu[i]) for i in range(self.row_count - k + 1))
+        )
 
     def overlap_partition(self, k: int) -> Partition:
         """The overlap composition for k sorted decreasing with zeros dropped.

@@ -26,6 +26,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
+        if not set(map(type, self.images)) <= {int}:
+            raise ValueError(f"permutation entries must be integers, got {self.images!r}")
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")

@@ -9,6 +9,7 @@ of blocks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,13 +25,14 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0] if b else 0))
+        blocks = tuple(map(tuple, self.blocks))
+        if not all(blocks):
+            raise ValueError("set partition blocks must be nonempty")
+        seen = list(itertools.chain.from_iterable(blocks))
+        if not set(map(type, seen)) <= {int}:
+            raise ValueError(f"set partition entries must be integers, got {self.blocks!r}")
+        cleaned = tuple(sorted(tuple(sorted(b)) for b in blocks))
         object.__setattr__(self, "blocks", cleaned)
-        seen: list[int] = []
-        for block in cleaned:
-            if not block:
-                raise ValueError("set partition blocks must be nonempty")
-            seen.extend(block)
         n = len(seen)
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks must partition 1..n exactly once, got {self.blocks!r}")

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -128,6 +128,36 @@ def test_overlap_basics():
                 assert all(p >= 1 for p in two.parts) == d.is_connected()
                 if d.is_ribbon():
                     assert set(two.parts) == {1}
+
+
+def _overlap_by_windows(d, k):
+    """The overlap composition the long way: each window of k rows, its
+    latest first column and earliest last column."""
+    rows = d.rows()
+    out = []
+    for i in range(d.row_count - k + 1):
+        window = rows[i : i + k]
+        start = max(s for s, _ in window)
+        end = min(e for _, e in window)
+        out.append(max(0, end - start + 1))
+    return WeakComposition(tuple(out))
+
+
+def test_overlap_closed_form_matches_the_window_scan():
+    """For every skew diagram, connected or not, whose outer shape fits a
+    5 x 5 box, and every window size k, overlap_composition equals the
+    scan of each window of rows."""
+    box = [p for r in range(6) for p in combinations_with_replacement(range(5, 0, -1), r)]
+    checked = 0
+    for lam in box[1:]:
+        for mu in box:
+            if len(mu) > len(lam) or any(m >= l for m, l in zip(mu, lam)):
+                continue  # not contained, or an empty row
+            d = SkewDiagram(Partition(lam), Partition(mu))
+            for k in range(1, d.row_count + 1):
+                assert d.overlap_composition(k) == _overlap_by_windows(d, k), (lam, mu, k)
+                checked += 1
+    assert checked == 35211
 
 
 def test_overlap_respects_rotation():

@@ -14,6 +14,10 @@ def test_validation():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+    # entries equal to 1..n but not ints, bools included
+    for images in ((1.0, 2.0), (True, 2), (2, True), ("1",)):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(images)
 
 
 def test_identity_and_reversal():

@@ -22,6 +22,10 @@ def test_validation():
         SetPartition(((0, 1),))
     with pytest.raises(ValueError):
         SetPartition(((1,), ()))
+    # entries equal to 1..n but not ints, bools included
+    for blocks in (((1.0,), (2,)), ((True, 2),), ((2,), (True,)), (("1", 2),)):
+        with pytest.raises(ValueError, match="integers"):
+            SetPartition(blocks)
 
 
 def test_counts_are_bell_numbers():
