@@ -4,7 +4,8 @@ All three are thin immutable wrappers around a tuple of parts.  They are
 kept as distinct types on purpose: a composition has strictly positive
 parts, a weak composition allows zeros, and a partition is weakly
 decreasing.  Operations that need positivity reject weak input instead of
-silently dropping zeros.
+silently dropping zeros.  Parts must be ints proper: a bool, an int
+subclass, is refused rather than printed as True or False.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Composition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {self.parts!r}")
 
     @property
@@ -105,7 +106,7 @@ class WeakComposition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
-            if not isinstance(p, int) or p < 0:
+            if type(p) is not int or p < 0:
                 raise ValueError(f"weak composition parts must be >= 0, got {self.parts!r}")
 
     @property
@@ -143,7 +144,7 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"partition parts must be positive integers, got {self.parts!r}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"partition parts must weakly decrease, got {self.parts!r}")

@@ -24,6 +24,16 @@ def _padded(inner: tuple[int, ...], length: int) -> tuple[int, ...]:
     return inner + (0,) * (length - len(inner))
 
 
+def _count_terms(starts: list[int]) -> int:
+    """How many determinant terms have no negative subscript, given the
+    first column of each row's nonnegative suffix (see term_count)."""
+    ell = len(starts)
+    count = 1
+    for i, start in enumerate(starts):
+        count *= max(0, ell - start - (ell - 1 - i))
+    return count
+
+
 @dataclass(frozen=True)
 class SubscriptMatrix:
     """The square matrix of Jacobi-Trudi subscripts of a skew diagram.
@@ -66,11 +76,7 @@ class SubscriptMatrix:
         >>> SkewDiagram(Partition((1, 1, 1))).jt_subscripts().term_count()
         4
         """
-        ell = self.dimension
-        count = 1
-        for i, start in enumerate(self._suffix_starts()):
-            count *= max(0, ell - start - (ell - 1 - i))
-        return count
+        return _count_terms(self._suffix_starts())
 
     def surviving_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """The determinant terms with no negative subscript, each as the
@@ -87,7 +93,8 @@ class SubscriptMatrix:
         >>> sorted(SkewDiagram(Partition((2, 1))).jt_subscripts().surviving_terms())
         [((2, 1), 1), ((3, 0), -1)]
         """
-        count = self.term_count()
+        starts = self._suffix_starts()
+        count = _count_terms(starts)
         if count > EXPANSION_TERM_CAP:
             raise ValueError(
                 f"the expansion has {count} terms, more than the cap of {EXPANSION_TERM_CAP}"
@@ -95,16 +102,15 @@ class SubscriptMatrix:
         ell = self.dimension
         # (subscripts of the rows placed so far, used columns as bits, sign)
         partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-        for row, start in zip(reversed(self.entries), reversed(self._suffix_starts())):
-            grown = []
-            for subs, used, sign in partial:
-                for c in range(start, ell):
-                    bit = 1 << c
-                    if used & bit:
-                        continue
-                    flipped = (used & (bit - 1)).bit_count() & 1
-                    grown.append(((row[c],) + subs, used | bit, -sign if flipped else sign))
-            partial = grown
+        for row, start in zip(reversed(self.entries), reversed(starts)):
+            # (column bit, the bits of the columns left of it, (subscript,))
+            choices = [(1 << c, (1 << c) - 1, (row[c],)) for c in range(start, ell)]
+            partial = [
+                (value + subs, used | bit, -sign if (used & left).bit_count() & 1 else sign)
+                for subs, used, sign in partial
+                for bit, left, value in choices
+                if not used & bit
+            ]
         return ((subs, sign) for subs, _used, sign in partial)
 
 
@@ -234,14 +240,10 @@ class SkewDiagram:
         ((1, 3), (0, 2))
         """
         lam, mu = self.outer.parts, self.inner.parts
-        ell = len(lam)
-        padded = _padded(mu, ell)
-        return SubscriptMatrix(
-            tuple(
-                tuple(lam[i] - padded[j] - (i + 1) + (j + 1) for j in range(ell))
-                for i in range(ell)
-            )
-        )
+        # entry (i, j) = (outer_i - i) + (j - inner_j), 1-based
+        row_parts = [l - i for i, l in enumerate(lam, 1)]
+        column_parts = [j - m for j, m in enumerate(_padded(mu, len(lam)), 1)]
+        return SubscriptMatrix(tuple(tuple(r + c for c in column_parts) for r in row_parts))
 
     def ascii_art(self) -> str:
         """Rows of '#' cells padded with '.' to the bounding rectangle."""

@@ -73,14 +73,31 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
 
     This permutes the degree-n basis bijectively, so it maps expansions of
     degree n to expansions of degree n and preserves products of matching
-    degrees.  The zero expansion is fixed by anything.
+    degrees; no two terms meet, so the relabeled terms are only re-sorted,
+    never merged.  The zero expansion is fixed by anything.
     """
     if not e:
         return e
     if delta.size != e.degree:
         raise ValueError(f"permutation of size {delta.size} cannot act in degree {e.degree}")
     images = delta.images
-    return NCExpansion._from_raw((relabel(images, raw), coeff) for raw, coeff in e._terms.items())
+    return NCExpansion._from_distinct(
+        [(relabel(images, raw), coeff) for raw, coeff in e._terms.items()]
+    )
+
+
+@lru_cache(maxsize=2**12)
+def _composition_term(parts: tuple[int, ...]) -> tuple[Blocks, Fraction, Fraction]:
+    """The interval blocks of the composition parts and the two signed
+    coefficients 1/parts! and -1/parts! of a Jacobi-Trudi term with these
+    nonzero subscripts.  The cache holds all 2**12 compositions of 13, so
+    every composition of any one size n <= 13.
+
+    >>> _composition_term((2, 1))
+    (((1, 2), (3,)), Fraction(1, 2), Fraction(-1, 2))
+    """
+    coeff = Fraction(1, prod(factorial(s) for s in parts))
+    return interval_blocks(parts), coeff, -coeff
 
 
 @lru_cache(maxsize=1024)
@@ -95,12 +112,15 @@ def source_skew_schur(d: SkewDiagram) -> NCExpansion:
     than with ell!.  The term of w is sign(w) times h of the interval set
     partition with consecutive block sizes A[1, w(1)], ..., A[ell, w(ell)]
     (zeros vanish), divided by the product of the factorials of those
-    subscripts.  More than EXPANSION_TERM_CAP terms raise ValueError.
+    subscripts.  Terms with the same nonzero subscripts share one cached
+    key and coefficient (_composition_term); equal keys are still summed.
+    More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    return NCExpansion._from_raw(
-        (interval_blocks(s for s in subs if s), Fraction(sign, prod(factorial(s) for s in subs)))
-        for subs, sign in d.jt_subscripts().surviving_terms()
-    )
+    terms = []
+    for subs, sign in d.jt_subscripts().surviving_terms():
+        blocks, plus, minus = _composition_term(tuple(filter(None, subs)))
+        terms.append((blocks, plus if sign > 0 else minus))
+    return NCExpansion._from_raw(terms)
 
 
 def skew_schur(delta: Permutation, d: SkewDiagram) -> NCExpansion:
@@ -149,9 +169,11 @@ def ribbon_schur(alpha: Composition) -> NCExpansion:
 def to_commutative(e: NCExpansion) -> SymExpansion:
     """Let the variables commute: h_pi maps to pi's shape factorial times
     the commutative h of pi's shape."""
-    return SymExpansion._from_raw(
-        (key.shape().parts, coeff * key.shape_factorial()) for key, coeff in e.items()
-    )
+    terms = []
+    for key, coeff in e.items():
+        shape = key.shape()
+        terms.append((shape.parts, coeff * shape.factorial()))
+    return SymExpansion._from_raw(terms)
 
 
 class MonomialTruncation:

@@ -20,8 +20,18 @@ from .diagrams import SkewDiagram
 Coefficient = Union[Fraction, int]
 
 
-def _display_order(raw: tuple) -> tuple:
+def _display_order(term: tuple[tuple, Coefficient]) -> tuple:
+    """Sort key of a (raw key, coefficient) term: more parts first, then
+    lexicographic."""
+    raw = term[0]
     return (-len(raw), raw)
+
+
+def _exact(coeff: object) -> Fraction:
+    """coeff as a Fraction; only ints (not bools) and Fractions are exact."""
+    if type(coeff) is int or isinstance(coeff, Fraction):
+        return Fraction(coeff)
+    raise ValueError(f"coefficients must be int or Fraction, got {coeff!r}")
 
 
 def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction]:
@@ -29,7 +39,11 @@ def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction
     data: dict[tuple, Coefficient] = {}
     for raw, coeff in pairs:
         data[raw] = data[raw] + coeff if raw in data else coeff
-    return {raw: Fraction(data[raw]) for raw in sorted(data, key=_display_order) if data[raw]}
+    return {
+        raw: coeff if type(coeff) is Fraction else Fraction(coeff)
+        for raw, coeff in sorted(data.items(), key=_display_order)
+        if coeff
+    }
 
 
 class Expansion:
@@ -52,7 +66,7 @@ class Expansion:
         for key, _coeff in pairs:
             if not isinstance(key, self._key_type):
                 raise ValueError(f"expansion keys must be {self._key_type.__name__}, got {key!r}")
-        self._terms = _collect((self._raw(key), Fraction(coeff)) for key, coeff in pairs)
+        self._terms = _collect((self._raw(key), _exact(coeff)) for key, coeff in pairs)
         degrees = {self._key(raw).size for raw in self._terms}
         if len(degrees) > 1:
             raise ValueError(f"expansion mixes degrees {sorted(degrees)}")
@@ -63,6 +77,15 @@ class Expansion:
         are canonical and of one degree, as keys derived from valid ones are."""
         e = object.__new__(cls)
         e._terms = _collect(pairs)
+        return e
+
+    @classmethod
+    def _from_distinct(cls, pairs: Iterable[tuple[tuple, Fraction]]):
+        """Trusted constructor as _from_raw, for pairs whose raw keys are
+        distinct and whose coefficients are nonzero Fractions, as a bijection
+        of another expansion's keys gives: sorted for display, not merged."""
+        e = object.__new__(cls)
+        e._terms = dict(sorted(pairs, key=_display_order))
         return e
 
     def _key(self, raw: tuple):
@@ -107,7 +130,7 @@ class Expansion:
         return self + other.scaled(-1)
 
     def scaled(self, c: Coefficient):
-        c = Fraction(c)
+        c = _exact(c)
         return self._from_raw((raw, coeff * c) for raw, coeff in self._terms.items())
 
     def __mul__(self, other):
@@ -160,7 +183,7 @@ def skew_schur(d: SkewDiagram) -> SymExpansion:
     ValueError.
     """
     return SymExpansion._from_raw(
-        (tuple(sorted((s for s in subs if s), reverse=True)), sign)
+        (tuple(sorted(filter(None, subs), reverse=True)), sign)
         for subs, sign in d.jt_subscripts().surviving_terms()
     )
 

@@ -15,6 +15,14 @@ def test_composition_rejects_bad_parts():
         Composition((1.5,))
 
 
+@pytest.mark.parametrize("kind", [Composition, Partition, WeakComposition])
+@pytest.mark.parametrize("parts", [(True, 2), (2, True), (False,)])
+def test_bool_parts_rejected(kind, parts):
+    # bool is an int subclass, and True would print as a part
+    with pytest.raises(ValueError):
+        kind(parts)
+
+
 def test_counts_are_powers_of_two():
     # there are 2^(n-1) compositions of n >= 1
     for n in range(1, 9):

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
 from ncskew.permutations import Permutation, symmetric_group
-from ncskew.setpartitions import SetPartition, set_partitions
+from ncskew.setpartitions import SetPartition, relabel, set_partitions
 from ncskew import ncsym, sym
 from ncskew.ncsym import (
     NCExpansion,
@@ -207,3 +209,46 @@ def test_relabels_to_needs_every_term():
     assert not e.relabels_to((1, 2, 3), bigger)
     assert not bigger.relabels_to((1, 2, 3), e)
     assert e.relabels_to((1, 2, 3), e)
+
+
+def test_source_skew_schur_matches_validating_constructor():
+    """The cached per-composition terms give what the validating constructor
+    builds from each surviving term: sign/prod(s!) times h of the interval
+    set partition of the nonzero subscripts."""
+    for n in range(1, 9):
+        for d in connected_diagrams(n):
+            reference = NCExpansion(
+                (
+                    SetPartition.from_composition(Composition(tuple(s for s in subs if s))),
+                    Fraction(sign, prod(factorial(s) for s in subs)),
+                )
+                for subs, sign in d.jt_subscripts().surviving_terms()
+            )
+            got = source_skew_schur(d)
+            assert got == reference
+            assert str(got) == str(reference)
+
+
+def test_act_matches_validating_constructor():
+    """act stores the relabeled terms without merging them; the result is
+    what the validating constructor builds, in the same display order."""
+    rng = random.Random(15)
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            e = source_skew_schur(d)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            sigma = Permutation(tuple(images))
+            reference = NCExpansion(
+                (SetPartition(relabel(sigma.images, key.blocks)), c) for key, c in e.items()
+            )
+            got = act(sigma, e)
+            assert got == reference
+            assert got.items() == reference.items()
+
+
+def test_nc_inexact_coefficients_rejected():
+    with pytest.raises(ValueError):
+        NCExpansion({_sp((1,)): 0.1})
+    with pytest.raises(ValueError):
+        h(_sp((1,))).scaled("1/3")

@@ -34,6 +34,15 @@ def test_mixed_degrees_rejected():
         SymExpansion([(Partition((1,)), 1), (Partition((2,)), 1)])
 
 
+@pytest.mark.parametrize("coeff", [0.1, 0.5, "1/3", True, None])
+def test_inexact_coefficients_rejected(coeff):
+    # only int and Fraction are exact; Fraction(0.1) would store a binary float
+    with pytest.raises(ValueError):
+        SymExpansion({Partition((1,)): coeff})
+    with pytest.raises(ValueError):
+        h(Partition((1,))).scaled(coeff)
+
+
 def test_arithmetic():
     a = h(Partition((2, 1)))
     b = h(Partition((3,)))
