@@ -331,9 +331,9 @@ class _Entry:
     """What the sweep needs of one diagram.
 
     keys_by_signature groups the keys of the source expansion by their
-    signature, and row_signature is the signature of the row blocks, the
-    key _observed pivots on.  fingerprint is the sorted tuple of
-    (signature, number of keys), which every sigma keeps.  partner is
+    signature, each group sorted, and row_signature is the signature of the
+    row blocks, the key _observed pivots on.  fingerprint is the sorted
+    tuple of (signature, number of keys), which every sigma keeps.  partner is
     _rotation_partner of the diagram, and atoms give the same-diagram block
     condition: 1..n grouped by the key blocks that contain each point.
     Every key is an interval set partition (see source_skew_schur), so the
@@ -401,7 +401,7 @@ def _entry(d: SkewDiagram) -> _Entry:
     return _Entry(
         diagram=d,
         expansion=src,
-        keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
+        keys_by_signature={sig: tuple(sorted(keys)) for sig, keys in keys_by_signature.items()},
         row_signature=(tuple(sorted(map(len, rows))), row_coeff.numerator, row_coeff.denominator),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=rows,
@@ -458,11 +458,11 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
 
 def _verify_rows(
     entries: tuple[_Entry, ...], rows: tuple[int, ...]
-) -> tuple[int, int, list[Disagreement]]:
+) -> tuple[int, list[Disagreement]]:
     """Sweep the pairs of entries, the table of one size, whose first
-    diagram is in rows; return same_diagram_equal and same_diagram_condition
-    over them and the disagreements found.  verify_exhaustive works out the
-    other counters of the report.
+    diagram is in rows; return same_diagram_equal over them and the
+    disagreements found.  verify_exhaustive works out the other counters of
+    the report.
 
     Every pair takes one path, whatever verify_exhaustive's prune says.  A
     distinct pair that fails conditions 1 and 2 and whose fingerprints
@@ -494,7 +494,7 @@ def _verify_rows(
     buckets: dict[tuple[tuple[Signature, int], ...], list[int]] = {}
     for k, entry in enumerate(entries):
         buckets.setdefault(entry.fingerprint, []).append(k)
-    same_equal = same_condition = 0
+    same_equal = 0
     disagreements: list[Disagreement] = []
 
     def disagree(i: int, j: int, images: tuple[int, ...], predicted: bool) -> None:
@@ -505,26 +505,22 @@ def _verify_rows(
 
     def check_predicted(
         i: int, j: int, blocks: Blocks, targets: Blocks, observed: set[tuple[int, ...]]
-    ) -> int:
+    ) -> None:
         """Report the predicted sigma, mapping each block onto its target,
-        that are not observed; return how many cosets are predicted."""
+        that are not observed."""
         choices = [(_split(b, entries[i].cells), (t,)) for b, t in zip(blocks, targets)]
-        representatives = 0
         for images in _block_maps(choices, _uniform(n)):
-            representatives += 1
             if images not in observed:
                 disagree(i, j, images, True)
-        return representatives
 
     for i in rows:
         first = entries[i]
-        order = _young_order(first.cells)
         rotation = index.get(first.partner)
         for j in sorted({i, *buckets[first.fingerprint], rotation} - {None}):
             observed = set(_observed(first, entries[j]))
             if j == i:
-                same_equal += len(observed) * order
-                same_condition += check_predicted(i, j, first.atoms, first.atoms, observed) * order
+                same_equal += len(observed) * _young_order(first.cells)
+                check_predicted(i, j, first.atoms, first.atoms, observed)
                 continue
             for images in observed:
                 if not (j == rotation and _meets_condition_3(images, first.rows)):
@@ -532,7 +528,7 @@ def _verify_rows(
             if j == rotation:
                 targets = tuple(_row_target(b, n) for b in first.rows)
                 check_predicted(i, j, first.rows, targets, observed)
-    return same_equal, same_condition, disagreements
+    return same_equal, disagreements
 
 
 # Workers are forked where the platform can, which hands them the parent's
@@ -545,8 +541,8 @@ _CONTEXT = multiprocessing.get_context(
 
 def _send_rows(send: Connection, entries: tuple[_Entry, ...], rows: tuple[int, ...]) -> None:
     """A worker's body: send back what _verify_rows returns for its rows,
-    two ints and the disagreements, which the parent adds to its own.  If
-    it raises, the worker prints the traceback and exits without sending."""
+    an int and the disagreements, which the parent adds to its own.  If it
+    raises, the worker prints the traceback and exits without sending."""
     send.send(_verify_rows(entries, rows))
 
 
@@ -578,7 +574,9 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     effect: the fingerprint filter skips every pair that the overlap
     condition once pruned.  For c diagrams there are c(c - 1) pairs,
     c^2 n! coset checks and c n! same-diagram checks, and the agreements
-    are the coset checks less the disagreements.
+    are the coset checks less the disagreements.  The sigma meeting the
+    same-diagram block condition map each atom onto itself, so there are
+    |Y| of them per diagram, for Y the Young subgroup of its atoms.
 
     The rows are dealt round robin into min(jobs, os.cpu_count()) chunks;
     this process sweeps the first and a worker process each other one.  A
@@ -612,7 +610,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
             receive.close()
             process.terminate()
             process.join()
-    equal, condition, found = zip(*partials)
+    equal, found = zip(*partials)
     disagreements = sorted(
         (d for part in found for d in part), key=lambda d: (d.pair_index, d.labeling)
     )
@@ -626,5 +624,5 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         disagreements=tuple(disagreements),
         same_diagram_checks=count * factorial(n),
         same_diagram_equal=sum(equal),
-        same_diagram_condition=sum(condition),
+        same_diagram_condition=sum(_young_order(entry.atoms) for entry in entries),
     )

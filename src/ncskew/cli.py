@@ -19,8 +19,10 @@ from .ncsym import to_commutative
 from .permutations import Permutation
 from .textio import ParseError
 
-# The largest n whose `verify` finishes within 10 s with jobs 1 on a 2-core
-# machine: verify 11 takes about 5 s there, verify 12 about 16 s.
+# The largest n whose `verify` surely finishes within 10 s with jobs 1 on a
+# 2-vCPU VM with Python 3.11: there, through the CLI, verify 11 took 3.2-3.4 s
+# and verify 12 8.9-9.8 s (peak RSS 120 MB), and that host's speed swings by
+# up to 2x, which puts verify 12 over 10 s.
 VERIFY_CAP = 11
 
 

@@ -73,17 +73,15 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
 
     This permutes the degree-n basis bijectively, so it maps expansions of
     degree n to expansions of degree n and preserves products of matching
-    degrees; no two terms meet, so the relabeled terms are only re-sorted,
-    never merged.  The zero expansion is fixed by anything.
+    degrees; no two terms meet, so the merge finds nothing to sum.  The zero
+    expansion is fixed by anything.
     """
     if not e:
         return e
     if delta.size != e.degree:
         raise ValueError(f"permutation of size {delta.size} cannot act in degree {e.degree}")
     images = delta.images
-    return NCExpansion._from_distinct(
-        [(relabel(images, raw), coeff) for raw, coeff in e._terms.items()]
-    )
+    return NCExpansion._from_raw((relabel(images, raw), coeff) for raw, coeff in e._terms.items())
 
 
 @lru_cache(maxsize=2**12)
@@ -170,8 +168,8 @@ def to_commutative(e: NCExpansion) -> SymExpansion:
     """Let the variables commute: h_pi maps to pi's shape factorial times
     the commutative h of pi's shape."""
     terms = []
-    for key, coeff in e.items():
-        shape = key.shape()
+    for raw, coeff in e._terms.items():
+        shape = SetPartition._trusted(raw).shape()
         terms.append((shape.parts, coeff * shape.factorial()))
     return SymExpansion._from_raw(terms)
 

@@ -35,13 +35,14 @@ def _exact(coeff: object) -> Fraction:
 
 
 def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction]:
-    """Sum the coefficients of equal raw keys, drop zeros, sort for display."""
+    """Sum the coefficients of equal raw keys and drop zeros, keeping the
+    order in which the keys first appear."""
     data: dict[tuple, Coefficient] = {}
     for raw, coeff in pairs:
         data[raw] = data[raw] + coeff if raw in data else coeff
     return {
         raw: coeff if type(coeff) is Fraction else Fraction(coeff)
-        for raw, coeff in sorted(data.items(), key=_display_order)
+        for raw, coeff in data.items()
         if coeff
     }
 
@@ -51,8 +52,9 @@ class Expansion:
 
     A subclass names its key type, the product of two basis indices and its
     text form.  Terms are stored under the raw tuple of their key
-    (`Partition.parts` or `SetPartition.blocks`) in display order: more
-    parts first, then lexicographic.
+    (`Partition.parts` or `SetPartition.blocks`) in the order they were
+    built; items() and repr() show them in display order: more parts first,
+    then lexicographic.
     """
 
     __slots__ = ("_terms",)
@@ -79,15 +81,6 @@ class Expansion:
         e._terms = _collect(pairs)
         return e
 
-    @classmethod
-    def _from_distinct(cls, pairs: Iterable[tuple[tuple, Fraction]]):
-        """Trusted constructor as _from_raw, for pairs whose raw keys are
-        distinct and whose coefficients are nonzero Fractions, as a bijection
-        of another expansion's keys gives: sorted for display, not merged."""
-        e = object.__new__(cls)
-        e._terms = dict(sorted(pairs, key=_display_order))
-        return e
-
     def _key(self, raw: tuple):
         return self._key_type._trusted(raw)
 
@@ -103,7 +96,8 @@ class Expansion:
 
     def items(self) -> list[tuple[Any, Fraction]]:
         """Terms in display order: more parts first, then lexicographic."""
-        return [(self._key(raw), coeff) for raw, coeff in self._terms.items()]
+        terms = sorted(self._terms.items(), key=_display_order)
+        return [(self._key(raw), coeff) for raw, coeff in terms]
 
     def support(self) -> set:
         return {self._key(raw) for raw in self._terms}
@@ -144,7 +138,8 @@ class Expansion:
         )
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in self._terms.items())
+        terms = sorted(self._terms.items(), key=_display_order)
+        inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in terms)
         return f"{type(self).__name__}({{{inner}}})"
 
 

@@ -200,7 +200,8 @@ def test_same_diagram_validation():
 def test_support_keys_are_the_surviving_term_keys():
     """The block condition reads the keys of the source expansion; they are
     exactly the interval set partitions of the surviving determinant terms,
-    so no surviving term cancels away."""
+    so no surviving term cancels away, and no two surviving terms share a
+    key."""
     for n in range(1, 8):
         for d in connected_diagrams(n):
             surviving = {
@@ -208,6 +209,16 @@ def test_support_keys_are_the_surviving_term_keys():
                 for subs, _sign in d.jt_subscripts().surviving_terms()
             }
             assert source_skew_schur(d).support() == surviving, d
+            assert len(source_skew_schur(d)) == d.jt_subscripts().term_count(), d
+
+
+@pytest.mark.slow
+def test_one_key_per_surviving_term_up_to_twelve():
+    """Every surviving determinant term keeps a key of its own, for every
+    connected diagram with n <= 12: 6,842 diagrams of size 12 alone."""
+    for n in range(1, 13):
+        for d in connected_diagrams(n):
+            assert len(source_skew_schur(d)) == d.jt_subscripts().term_count(), d
 
 
 def test_verify_structure():

@@ -8,7 +8,7 @@ from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition, relabel, set_partitions
-from ncskew import ncsym, sym
+from ncskew import ncsym, sym, textio
 from ncskew.ncsym import (
     NCExpansion,
     act,
@@ -186,6 +186,20 @@ def test_truncation_separates_basis():
 def test_term_order_in_str():
     e = ribbon_schur(Composition((1, 1, 1)))
     assert str(e) == "h[1/2/3] - 1/2*h[1/23] - 1/2*h[12/3] + 1/6*h[123]"
+    # Built out of display order; every text form still shows display order.
+    src = source_skew_schur(ribbon(Composition((2, 1))))
+    relabeled = act(Permutation((3, 2, 1)), src)
+    assert list(relabeled._terms) != [key.blocks for key, _ in relabeled.items()]
+    assert repr(relabeled) == "NCExpansion({((1,), (2, 3)): 1/2, ((1, 2, 3),): -1/6})"
+    assert str(relabeled) == "1/2*h[1/23] - 1/6*h[123]"
+    assert relabeled.items() == [(_sp((1,), (2, 3)), HALF), (_sp((1, 2, 3)), -SIXTH)]
+    assert textio.machine_lines(relabeled) == ["1/2\t1/23", "-1/6\t123"]
+    product = src * h(_sp((1,)))
+    assert list(product._terms) != [key.blocks for key, _ in product.items()]
+    assert repr(product) == "NCExpansion({((1, 2), (3,), (4,)): 1/2, ((1, 2, 3), (4,)): -1/6})"
+    assert str(product) == "1/2*h[12/3/4] - 1/6*h[123/4]"
+    assert product.items() == [(_sp((1, 2), (3,), (4,)), HALF), (_sp((1, 2, 3), (4,)), -SIXTH)]
+    assert textio.machine_lines(product) == ["1/2\t12/3/4", "-1/6\t123/4"]
 
 
 def test_relabels_to_agrees_with_act():
@@ -230,8 +244,9 @@ def test_source_skew_schur_matches_validating_constructor():
 
 
 def test_act_matches_validating_constructor():
-    """act stores the relabeled terms without merging them; the result is
-    what the validating constructor builds, in the same display order."""
+    """act relabels through the trusted constructor; the result is what
+    the validating constructor builds, and items() shows both in the same
+    display order, whatever order each stored its terms in."""
     rng = random.Random(15)
     for n in range(1, 8):
         for d in connected_diagrams(n):

@@ -168,3 +168,14 @@ def test_repr_and_display_order():
     assert repr(e) == "SymExpansion({(2, 1): -1/2, (3,): 1})"
     assert [key.parts for key, _ in e.items()] == [(2, 1), (3,)]
     assert e.support() == {Partition((3,)), Partition((2, 1))}
+    # Built out of display order; every text form still shows display order.
+    from ncskew.ncsym import source_skew_schur, to_commutative
+    from ncskew.textio import machine_lines
+
+    image = to_commutative(source_skew_schur(SkewDiagram(Partition((2, 2, 1)))))
+    assert list(image._terms) != [key.parts for key, _ in image.items()]
+    assert repr(image) == "SymExpansion({(2, 2, 1): 1, (3, 1, 1): -1, (3, 2): -1, (4, 1): 1})"
+    assert str(image) == "h[2,2,1] - h[3,1,1] - h[3,2] + h[4,1]"
+    assert [key.parts for key, _ in image.items()] == [(2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
+    assert machine_lines(image) == ["1\t2,2,1", "-1\t3,1,1", "-1\t3,2", "1\t4,1"]
+    assert image == skew_schur(SkewDiagram(Partition((2, 2, 1))))
