@@ -233,12 +233,6 @@ Signature = tuple[tuple[int, ...], int, int]
 Colouring = tuple[tuple[int, ...], ...]
 
 
-def _uniform(n: int) -> tuple[Colouring, Colouring]:
-    """Source and target colourings giving every point of 1..n one colour,
-    under which _spread deals every way."""
-    return ((),) * n, ((),) * n
-
-
 def _young_order(pieces: Blocks) -> int:
     """The order of the Young subgroup of the pieces."""
     return prod(factorial(len(piece)) for piece in pieces)
@@ -314,16 +308,21 @@ def _block_maps(choices, colours: tuple[Colouring, Colouring]) -> Iterator[tuple
     return extend(0)
 
 
-def _coset(images: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[int, ...]]:
+def _representatives(blocks: Blocks, targets: Blocks, cells: Blocks) -> set[tuple[int, ...]]:
+    """The sigma mapping each block onto its target, one per right coset of
+    the Young subgroup of the cells, which refine the blocks: the sigma
+    increasing on every cell.  Every point gets one colour, so _spread deals
+    every way."""
+    uniform = ((),) * sum(map(len, cells))
+    choices = [(_split(block, cells), (target,)) for block, target in zip(blocks, targets)]
+    return set(_block_maps(choices, (uniform, uniform)))
+
+
+def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
     """Every sigma y with y in the Young subgroup of the pieces, for sigma
     given by its images: the sigma mapping each piece where sigma does."""
-    return _block_maps(
-        [
-            (tuple((x,) for x in piece), (tuple(sorted(images[x - 1] for x in piece)),))
-            for piece in pieces
-        ],
-        _uniform(len(images)),
-    )
+    targets = tuple(tuple(sorted(images[x - 1] for x in piece)) for piece in pieces)
+    return _representatives(pieces, targets, tuple((x,) for x in range(1, len(images) + 1)))
 
 
 @dataclass(frozen=True)
@@ -470,23 +469,23 @@ def _verify_rows(
     agree: the table is grouped by fingerprint once, and each row visits
     only itself, its bucket mates and its rotation partner, whatever the
     partner's bucket.  _observed yields the observed sigma, and it is the
-    only place relabels_to decides one.  The predicted sigma are the block
-    condition's on a same-diagram pair (each atom onto itself) and, on a
-    rotation pair, the coset mapping each row block onto its _row_target.
-    The disagreements are the predicted sigma not observed and, on distinct
-    pairs only, the observed sigma not predicted: the converse of the block
-    condition is only observed.  Every other labeling agrees, both sides
-    being false.
+    only place relabels_to decides one.  _representatives gives the
+    predicted sigma: on a same-diagram pair the block condition's, each atom
+    onto itself; on a rotation pair those mapping each row block onto its
+    _row_target; on every other pair none.  The disagreements are then one
+    set expression per pair: predicted - observed on a same-diagram pair,
+    whose block condition is only sufficient, and predicted ^ observed on a
+    distinct pair, whose predicate is exact.  Every other labeling agrees.
 
-    All three sets are unions of right cosets sigma Y, for Y the Young
-    subgroup of the first diagram's cells, one subgroup per row, and both
-    verdicts are constant on each coset (see _Entry).  One representative,
-    the sigma increasing on every cell, stands for its coset and counts |Y|
-    times; a disagreeing one is expanded back into its coset, so the report
-    is the one a sigma by sigma sweep gives.  Atoms and row blocks are
-    unions of cells, so _block_maps cuts them into the cells themselves and
-    yields the representatives _observed does: a predicted coset is
-    observed exactly when its representative is one _observed yielded.
+    Both sets are unions of right cosets sigma Y, for Y the Young subgroup
+    of the first diagram's cells, one subgroup per row, and both verdicts
+    are constant on each coset (see _Entry).  Each set holds one
+    representative per coset, the sigma increasing on every cell, which
+    counts |Y| times; a disagreeing one is expanded back into its coset by
+    _coset, so the report is the one a sigma by sigma sweep gives.  Atoms
+    and row blocks are unions of cells, so both sets pick the same
+    representative of a coset, and the set algebra on representatives is
+    the set algebra on the cosets.
     """
     n = entries[0].diagram.size
     count = len(entries)
@@ -496,23 +495,6 @@ def _verify_rows(
         buckets.setdefault(entry.fingerprint, []).append(k)
     same_equal = 0
     disagreements: list[Disagreement] = []
-
-    def disagree(i: int, j: int, images: tuple[int, ...], predicted: bool) -> None:
-        disagreements.extend(
-            Disagreement(i * count + j, i, j, sigma, predicted, not predicted)
-            for sigma in _coset(images, entries[i].cells)
-        )
-
-    def check_predicted(
-        i: int, j: int, blocks: Blocks, targets: Blocks, observed: set[tuple[int, ...]]
-    ) -> None:
-        """Report the predicted sigma, mapping each block onto its target,
-        that are not observed."""
-        choices = [(_split(b, entries[i].cells), (t,)) for b, t in zip(blocks, targets)]
-        for images in _block_maps(choices, _uniform(n)):
-            if images not in observed:
-                disagree(i, j, images, True)
-
     for i in rows:
         first = entries[i]
         rotation = index.get(first.partner)
@@ -520,14 +502,19 @@ def _verify_rows(
             observed = set(_observed(first, entries[j]))
             if j == i:
                 same_equal += len(observed) * _young_order(first.cells)
-                check_predicted(i, j, first.atoms, first.atoms, observed)
-                continue
-            for images in observed:
-                if not (j == rotation and _meets_condition_3(images, first.rows)):
-                    disagree(i, j, images, False)
-            if j == rotation:
-                targets = tuple(_row_target(b, n) for b in first.rows)
-                check_predicted(i, j, first.rows, targets, observed)
+                predicted = _representatives(first.atoms, first.atoms, first.cells)
+            elif j == rotation:
+                targets = tuple(_row_target(block, n) for block in first.rows)
+                predicted = _representatives(first.rows, targets, first.cells)
+            else:
+                predicted = set()
+            wrong = predicted - observed if j == i else predicted ^ observed
+            for images in wrong:
+                hit = images in predicted
+                disagreements.extend(
+                    Disagreement(i * count + j, i, j, sigma, hit, not hit)
+                    for sigma in _coset(images, first.cells)
+                )
     return same_equal, disagreements
 
 
@@ -567,10 +554,11 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     checking that the sufficient block condition never outruns the oracle.
     Each sigma the oracle can accept is generated and decided by it, one
     per right coset of the Young subgroup of the atoms, which stands for
-    its whole coset; each predicted coset is looked up among those accepted
-    (see _verify_rows), and every other sigma agrees, both sides being
-    false.  A pair that fails conditions 1 and 2 and whose fingerprints
-    differ is decided whole, in one step, on every run.  prune has no
+    its whole coset.  The predicted cosets are built, not decided, and the
+    disagreements are their set difference with the accepted ones (see
+    _verify_rows); every other sigma agrees, both sides being false.  A
+    pair that fails conditions 1 and 2 and whose fingerprints differ is
+    decided whole, in one step, on every run.  prune has no
     effect: the fingerprint filter skips every pair that the overlap
     condition once pruned.  For c diagrams there are c(c - 1) pairs,
     c^2 n! coset checks and c n! same-diagram checks, and the agreements

@@ -243,11 +243,38 @@ def test_verify_small_counters():
     assert (three.same_diagram_equal, three.same_diagram_condition) == (12, 11)
 
 
-def test_verify_prune_and_jobs_change_nothing():
+@pytest.fixture
+def started_workers(monkeypatch):
+    """The processes verify_exhaustive starts, with the core count pinned to
+    2 so that jobs=2 starts one worker whatever the host's count."""
+    start_worker = classify._start_worker
+    started = []
+
+    def recording_start_worker(*args):
+        worker = start_worker(*args)
+        started.append(worker[0])
+        return worker
+
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "_start_worker", recording_start_worker)
+    return started
+
+
+def test_verify_prune_and_jobs_change_nothing(monkeypatch, started_workers):
+    """prune and jobs leave the report alone, with the worker forked and
+    with it spawned, which pickles the table to it."""
     base = verify_exhaustive(4)
     assert verify_exhaustive(4, prune=True) == base
-    assert verify_exhaustive(4, jobs=2) == base
-    assert verify_exhaustive(4, jobs=2, prune=True) == base
+    started = started_workers
+    for context in (classify._CONTEXT, multiprocessing.get_context("spawn")):
+        monkeypatch.setattr(classify, "_CONTEXT", context)
+        for prune in (False, True):
+            started.clear()
+            with _fails_after(60):
+                report = verify_exhaustive(4, jobs=2, prune=prune)
+            assert report == base, (context, prune)
+            assert len(started) == 1 and isinstance(started[0], context.Process)
+            assert started[0].exitcode is not None
 
 
 def test_verify_caps_the_workers_at_the_cores(monkeypatch):
@@ -544,7 +571,9 @@ def test_right_multiplication_convention():
     Permutation's product, and relabeling by it is relabeling by y, then by
     sigma.  So y fixing every key of E_D makes sigma y relabel E_D as sigma
     does, and _coset yields exactly the sigma y with y in the pieces' Young
-    subgroup."""
+    subgroup.  _representatives yields, by brute force over S_4, exactly
+    the sigma mapping each block onto its target that increase on every
+    cell, one per right coset of the cells' Young subgroup."""
     perms = list(symmetric_group(4))
     partitions = [pi.blocks for pi in set_partitions(4)]
     for sigma in perms:
@@ -560,6 +589,23 @@ def test_right_multiplication_convention():
             coset = list(classify._coset(sigma.images, pieces))
             assert len(coset) == len(young) == classify._young_order(pieces)
             assert set(coset) == expected
+    for blocks, targets, cells in (
+        (((1, 2), (3, 4)), ((3, 4), (1, 2)), ((1, 2), (3,), (4,))),
+        (((1, 2, 3), (4,)), ((2, 3, 4), (1,)), ((1,), (2, 3), (4,))),
+        (((1, 3), (2, 4)), ((2, 4), (1, 3)), ((1, 3), (2,), (4,))),
+        (((1, 2, 3, 4),), ((1, 2, 3, 4),), ((1, 2), (3, 4))),
+        (((1,), (2, 3, 4)), ((4,), (1, 2, 3)), ((1,), (2,), (3,), (4,))),
+    ):
+        expected = {
+            sigma.images
+            for sigma in perms
+            if all(sorted(sigma(x) for x in b) == list(t) for b, t in zip(blocks, targets))
+            and all(sigma(a) < sigma(b) for cell in cells for a, b in zip(cell, cell[1:]))
+        }
+        found = classify._representatives(blocks, targets, cells)
+        assert found == expected, (blocks, targets, cells)
+        whole = math.prod(math.factorial(len(b)) for b in blocks)
+        assert len(found) * classify._young_order(cells) == whole
     for n in range(1, 9):
         for e in _table(n):
             for cell in e.cells:
@@ -645,14 +691,13 @@ def _fails_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_a_failing_worker_makes_the_sweep_raise(monkeypatch):
+def test_a_failing_worker_makes_the_sweep_raise(monkeypatch, started_workers):
     """A worker whose sweep raises, or which dies, makes verify_exhaustive
     raise at once instead of waiting, and every worker is reaped by the
     time it returns.  Only the chunks without row 0 fail: this process
     sweeps the chunk with row 0, so the failure is a worker's."""
     verify_rows = classify._verify_rows
-    start_worker = classify._start_worker
-    started = []
+    started = started_workers
 
     def raising(entries, rows):
         if 0 not in rows:
@@ -664,13 +709,6 @@ def test_a_failing_worker_makes_the_sweep_raise(monkeypatch):
             os._exit(3)
         return verify_rows(entries, rows)
 
-    def recording_start_worker(*args):
-        worker = start_worker(*args)
-        started.append(worker[0])
-        return worker
-
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(classify, "_start_worker", recording_start_worker)
     for fault, code in ((raising, 1), (dying, 3)):
         started.clear()
         monkeypatch.setattr(classify, "_verify_rows", fault)
@@ -831,20 +869,9 @@ def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
 
 
 @pytest.mark.slow
-def test_verify_seven_pruned_counters():
-    report = verify_exhaustive(7, prune=True)
-    assert (report.diagram_count, report.pair_count, report.coset_checks) == (105, 10920, 55566000)
-    assert report.agreements == report.coset_checks and report.ok
-    assert (
-        report.same_diagram_checks,
-        report.same_diagram_equal,
-        report.same_diagram_condition,
-    ) == (529200, 9182, 8987)
-
-
-@pytest.mark.slow
-def test_verify_seven_unpruned_counters():
-    report = verify_exhaustive(7)
+@pytest.mark.parametrize("prune", (False, True))
+def test_verify_seven_counters(prune):
+    report = verify_exhaustive(7, prune=prune)
     assert (report.diagram_count, report.pair_count, report.coset_checks) == (105, 10920, 55566000)
     assert report.agreements == report.coset_checks and report.ok
     assert (
