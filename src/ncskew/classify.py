@@ -30,16 +30,19 @@ decided by relabels_to and counted |Y| times.  Both premises hold by
 construction (see _Entry), and the fact the second rests on, that the row
 blocks are a key of the source expansion, is checked for every diagram.
 
-Within a coset enumeration the sweep deals by colour, one round of the
-colour refinement that starts partition backtrack (McKay and Piperno,
-"Practical graph isomorphism II", 2014).  The colour of a point x under
-E_D is (c_1, ..., c_n), c_k the number of keys of E_D whose block holding
-x has k points.  Lemma: if act(sigma, E_D) == E_T then sigma maps each x to
-a point of the same colour under E_T.  For sigma maps the keys of E_D
-one to one onto those of E_T, and the block of a key holding x onto the
-block of its image holding sigma(x), of the same size.  Points of one atom
-lie in the same blocks, so colours are constant on atoms, and dealing each
-piece only points of its colour keeps or drops whole cosets sigma Y.
+The sweep finds every sigma with act(sigma, E_D) == E_T by matching
+cells, one round of the colour refinement that starts partition backtrack
+(McKay and Piperno, "Practical graph isomorphism II", 2014).  The colour
+of a point x under E_D is (c_1, ..., c_n), c_k the number of keys of E_D
+whose block holding x has k points.  Lemma: if act(sigma, E_D) == E_T then
+sigma maps each cell of D onto a cell of T of the same size and colour.
+For sigma maps the keys of E_D one to one onto those of E_T, and the block
+of a key holding x onto the block of its image holding sigma(x), of the
+same size.  So x and y share every key block exactly when sigma(x) and
+sigma(y) do, which maps the cells, the atoms, onto atoms, and sigma keeps
+colours.  Points of one cell lie in the same blocks, so a cell has one
+colour, and matching same-colour cells keeps or drops whole cosets
+sigma Y.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Iterator
 
-from .diagrams import SkewDiagram, connected_diagrams
+from .diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams
 from .ncsym import NCExpansion, source_skew_schur
 from .permutations import Permutation
 from .setpartitions import Blocks, SetPartition, interval_blocks
@@ -82,18 +85,6 @@ def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(range(n + 1 - block[-1], n + 2 - block[0]))
 
 
-def _meets_condition_3(images: tuple[int, ...], rows: Blocks) -> bool:
-    """True if sigma maps every row block onto its _row_target."""
-    n = len(images)
-    for block in rows:
-        target = _row_target(block, n)
-        low, high = target[0], target[-1]
-        for x in block:
-            if not low <= images[x - 1] <= high:
-                return False
-    return True
-
-
 def _rotation_partner(d: SkewDiagram) -> SkewDiagram | None:
     """The only diagram T that conditions 1 and 2 let a pair (d, T) have:
     d rotated by 180 degrees when d is a nonsymmetric ribbon, else None."""
@@ -118,9 +109,10 @@ def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
         return 1
     if b.diagram != partner:
         return 2
-    sigma = b.labeling.inverse() * a.labeling
-    if not _meets_condition_3(sigma.images, interval_blocks(d.row_lengths().parts)):
-        return 3
+    images = (b.labeling.inverse() * a.labeling).images
+    for block in interval_blocks(d.row_lengths().parts):
+        if tuple(sorted(images[x - 1] for x in block)) != _row_target(block, d.size):
+            return 3
     return None
 
 
@@ -243,79 +235,34 @@ def _split(block: tuple[int, ...], cells: Blocks) -> Blocks:
     return tuple(piece for cell in cells if (piece := tuple(x for x in cell if x in block)))
 
 
-def _spread(
-    values: tuple[int, ...], pieces: Blocks, colours: tuple[Colouring, Colouring]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every way to deal the values out to the pieces, each piece getting
-    as many as it holds, in increasing order, and only values whose target
-    colour is the piece's source colour: colours is (source, target), each
-    the colour of every point of 1..n, and a piece takes the colour of its
-    points.  A sigma dealt here maps every point of the pieces to a point of
-    its own colour.  Under the uniform colouring every value fits every
-    piece and every deal is yielded.
-    """
-    source, target = colours
-    colour = source[pieces[0][0] - 1]
-    fitting = tuple(v for v in values if target[v - 1] == colour)
+    as many as it holds, in increasing order."""
     if len(pieces) == 1:
-        if len(fitting) == len(values):
-            yield (values,)
+        yield (values,)
         return
-    for chosen in itertools.combinations(fitting, len(pieces[0])):
+    for chosen in itertools.combinations(values, len(pieces[0])):
         rest = tuple(v for v in values if v not in chosen)
-        for tail in _spread(rest, pieces[1:], colours):
+        for tail in _spread(rest, pieces[1:]):
             yield (chosen,) + tail
-
-
-def _block_maps(choices, colours: tuple[Colouring, Colouring]) -> Iterator[tuple[int, ...]]:
-    """One sigma, as its tuple of images, per right coset sigma Y of the
-    Young subgroup Y of the pieces: the sigma that map each source block
-    onto one of its candidate target blocks of the same size, no target
-    taken twice, map each piece onto points of its colour (see _spread),
-    and are increasing on every piece.
-
-    choices is a sequence of (source block cut into pieces, candidate
-    target blocks), whose blocks cover 1..n.  Composing with y in Y keeps
-    the image of every block, so each sigma of the cosets enumerated is
-    sigma' y for exactly one sigma' yielded: every matching of the blocks,
-    then every combination of the target per piece, where one piece per
-    block would give every bijection.  With singleton pieces Y is trivial
-    and every sigma is yielded.  Colours are constant on pieces, so the
-    colour filter keeps or drops whole cosets.  The state is one partial
-    image and one iterator per block, so nothing proportional to the output
-    is built.
-    """
-    images = [0] * sum(len(piece) for pieces, _ in choices for piece in pieces)
-    used: set[tuple[int, ...]] = set()
-    last = len(choices) - 1
-
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        pieces, candidates = choices[k]
-        for target in candidates:
-            if target in used:
-                continue
-            used.add(target)
-            for dealt in _spread(target, pieces, colours):
-                for piece, values in zip(pieces, dealt):
-                    for e, v in zip(piece, values):
-                        images[e - 1] = v
-                if k == last:
-                    yield tuple(images)
-                else:
-                    yield from extend(k + 1)
-            used.discard(target)
-
-    return extend(0)
 
 
 def _representatives(blocks: Blocks, targets: Blocks, cells: Blocks) -> set[tuple[int, ...]]:
     """The sigma mapping each block onto its target, one per right coset of
     the Young subgroup of the cells, which refine the blocks: the sigma
-    increasing on every cell.  Every point gets one colour, so _spread deals
-    every way."""
-    uniform = ((),) * sum(map(len, cells))
-    choices = [(_split(block, cells), (target,)) for block, target in zip(blocks, targets)]
-    return set(_block_maps(choices, (uniform, uniform)))
+    increasing on every cell.  Each block's target is dealt over the
+    block's cells by _spread, and the product over the blocks is taken;
+    the targets are disjoint, so no target is taken twice."""
+    pieces = [_split(block, cells) for block in blocks]
+    points = [x for split in pieces for piece in split for x in piece]
+    found = set()
+    images = [0] * len(points)
+    for dealt in itertools.product(*map(_spread, targets, pieces)):
+        values = (v for deal in dealt for piece in deal for v in piece)
+        for x, v in zip(points, values):
+            images[x - 1] = v
+        found.add(tuple(images))
+    return found
 
 
 def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
@@ -329,40 +276,34 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
 class _Entry:
     """What the sweep needs of one diagram.
 
-    keys_by_signature groups the keys of the source expansion by their
-    signature, each group sorted, and row_signature is the signature of the
-    row blocks, the key _observed pivots on.  fingerprint is the sorted
-    tuple of (signature, number of keys), which every sigma keeps.  partner is
-    _rotation_partner of the diagram, and atoms give the same-diagram block
-    condition: 1..n grouped by the key blocks that contain each point.
-    Every key is an interval set partition (see source_skew_schur), so the
-    atoms are intervals, and x and x + 1 share every block exactly when no
-    key block ends at x.  The sigma mapping each atom onto itself, the
-    Young subgroup of the atoms, are exactly those preserving every block
-    of every key.
+    fingerprint is the sorted tuple of (signature, number of keys of E_D
+    with it), which every sigma keeps.  partner is _rotation_partner of the
+    diagram, and atoms give the same-diagram block condition: 1..n grouped
+    by the key blocks that contain each point.  Every key is an interval
+    set partition (see source_skew_schur), so the atoms are intervals, and
+    x and x + 1 share every block exactly when no key block ends at x.  The
+    sigma mapping each atom onto itself, the Young subgroup of the atoms,
+    are exactly those preserving every block of every key.
 
-    cells, whose Young subgroup Y the sweep works modulo, are the atoms,
-    in a field of their own so that the quotient does not follow the block
-    condition that atoms gives.  Every key block is a union of atoms, so Y
-    fixes E_D.  The row blocks are a key of E_D, with coefficient
-    1/prod r_i!, as the term of w has subscripts A[i, w(i)] with
-    A[i, i] = r_i > 0 and each row of A strictly increasing, so the identity
-    is the only term whose nonzero subscripts are the row lengths; _entry
-    checks that key for every diagram.  So every row block is a union of
-    atoms too, Y keeps each row block, and condition 3 cannot tell sigma y
-    from sigma.
+    cells, whose Young subgroup Y the sweep works modulo and which _observed
+    matches, are the atoms, in a field of their own so that the quotient
+    does not follow the block condition that atoms gives.  Every key block
+    is a union of atoms, so Y fixes E_D.  The row blocks are a key of E_D,
+    with coefficient 1/prod r_i!, as the term of w has subscripts
+    A[i, w(i)] with A[i, i] = r_i > 0 and each row of A strictly
+    increasing, so the identity is the only term whose nonzero subscripts
+    are the row lengths; _entry checks that key for every diagram.  So
+    every row block is a union of atoms too, Y keeps each row block, and
+    condition 3 cannot tell sigma y from sigma.
 
     colours holds the colour of each of 1..n: (c_1, ..., c_n), c_k the
-    number of keys whose block holding the point has k points.  A sigma
-    with act(sigma, E_D) == E_T maps the keys of E_D one to one onto those
-    of E_T and the block holding x onto the block holding sigma(x), so it
-    keeps colours; points of one cell lie in the same blocks and share one.
+    number of keys whose block holding the point has k points.  Relabeling
+    keeps colours, and points of one cell share one (see the module
+    docstring).
     """
 
     diagram: SkewDiagram
     expansion: NCExpansion
-    keys_by_signature: dict[Signature, tuple[Blocks, ...]]
-    row_signature: Signature
     fingerprint: tuple[tuple[Signature, int], ...]
     rows: Blocks
     atoms: Blocks
@@ -372,24 +313,24 @@ class _Entry:
 
 
 def _entry(d: SkewDiagram) -> _Entry:
-    """One loop over the raw keys of E_D groups them by signature and
-    counts how many keys hold each distinct block.  A point's colour adds
-    up those counts over the blocks holding it, and the atoms are the
-    intervals between consecutive block ends: the keys are interval set
-    partitions, so there are at most n(n + 1)/2 distinct blocks, however
-    many keys there are.
+    """Two Counters go over the raw keys of E_D: one counts the keys of
+    each signature, the other how many keys hold each distinct block.  A
+    point's colour adds up those counts over the blocks holding it, and the
+    atoms are the intervals between consecutive block ends: the keys are
+    interval set partitions, so there are at most n(n + 1)/2 distinct
+    blocks, however many keys there are.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
-    sweep's pivot and its quotient by the atoms both rest on that key."""
+    sweep's quotient by the cells, under which condition 3 and the
+    predicted sets must stay constant, rests on that key."""
     src = source_skew_schur(d)
     rows = interval_blocks(d.row_lengths().parts)
-    row_coeff = src._terms.get(rows)
-    if row_coeff is None:
+    if rows not in src._terms:
         raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")
-    keys_by_signature: dict[Signature, list[Blocks]] = {}
-    for raw, coeff in src._terms.items():
-        sig = tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator
-        keys_by_signature.setdefault(sig, []).append(raw)
+    signatures = Counter(
+        (tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator)
+        for raw, coeff in src._terms.items()
+    )
     held = Counter(itertools.chain.from_iterable(src._terms))
     counts = [[0] * d.size for _ in range(d.size)]
     for block, keys in held.items():
@@ -400,9 +341,7 @@ def _entry(d: SkewDiagram) -> _Entry:
     return _Entry(
         diagram=d,
         expansion=src,
-        keys_by_signature={sig: tuple(sorted(keys)) for sig, keys in keys_by_signature.items()},
-        row_signature=(tuple(sorted(map(len, rows))), row_coeff.numerator, row_coeff.denominator),
-        fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
+        fingerprint=tuple(sorted(signatures.items())),
         rows=rows,
         atoms=atoms,
         cells=atoms,
@@ -417,22 +356,15 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     Y the Young subgroup of first's cells: each item is the images of the
     representative increasing on every cell.
 
-    relabels_to is a conjunction over the terms of E_D, so deciding one
-    term of E_D first, the pivot, only reorders it: a sigma can pass only
-    if it maps the pivot onto a key of E_T with the pivot's signature.  For
-    each such key those sigma form one coset of the pivot's stabilizer.
-    This holds for any key of E_D; the pivot is the row blocks, which
-    _entry checks are one.  The pieces are the pivot's blocks cut along
-    first's cells, which are the cells themselves, as every row block is a
-    union of cells; Y fixes the pivot and, every key being a union of cells,
-    E_D, so relabels_to decides a whole coset sigma Y as it decides sigma,
-    and each representative from _block_maps is decided by relabels_to.
-    Every other sigma fails at the pivot.
-
-    Each piece is dealt only the points of its target block with the
-    piece's colour (see _Entry): a sigma that sends some point to a point
-    of another colour cannot relabel E_D onto E_T, and colours are constant
-    on cells, so the filter drops whole cosets sigma Y and no observed sigma.
+    Such a sigma maps each cell of first onto a cell of second of the same
+    size and colour (see the module docstring), as x and y share every key
+    block exactly when sigma(x) and sigma(y) do.  So the cells of both are
+    grouped by (size, colour); a pair whose classes differ in size has no
+    such sigma, and otherwise every bijection between matching classes
+    gives one coset sigma Y, whose representative relabels_to decides.
+    Every key of E_D is a union of cells, so Y fixes E_D, and relabels_to
+    decides the whole coset as it decides sigma.  Every other sigma moves
+    some cell off the cells of second or onto another colour, and fails.
 
     act(id, E_D) == E_D, so when first is second the identity passes
     undecided.
@@ -440,19 +372,24 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     target = second.expansion
     if len(first.expansion) != len(target):
         return
-    pivot = first.rows
-    split = [_split(block, first.cells) for block in pivot]
-    colours = first.colours, second.colours
+    classes: dict[tuple[int, tuple[int, ...]], tuple[list, list]] = {}
+    for side, entry in enumerate((first, second)):
+        for cell in entry.cells:
+            classes.setdefault((len(cell), entry.colours[cell[0] - 1]), ([], []))[side].append(cell)
+    if any(len(sources) != len(targets) for sources, targets in classes.values()):
+        return
+    sources = [cell for cells, _ in classes.values() for cell in cells]
+    matchings = itertools.product(*(itertools.permutations(cells) for _, cells in classes.values()))
     relabels_to = first.expansion.relabels_to
     known = tuple(range(1, first.diagram.size + 1)) if first is second else None
-    for key in second.keys_by_signature.get(first.row_signature, ()):
-        choices = [
-            (block_pieces, tuple(c for c in key if len(c) == len(block)))
-            for block, block_pieces in zip(pivot, split)
-        ]
-        for images in _block_maps(choices, colours):
-            if images == known or relabels_to(images, target):
-                yield images
+    images = [0] * first.diagram.size
+    for matching in matchings:
+        for cell, image in zip(sources, itertools.chain.from_iterable(matching)):
+            for x, v in zip(cell, image):
+                images[x - 1] = v
+        candidate = tuple(images)
+        if candidate == known or relabels_to(candidate, target):
+            yield candidate
 
 
 def _verify_rows(
@@ -553,7 +490,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     pair covers all labeling pairs.  Same-diagram pairs are swept too,
     checking that the sufficient block condition never outruns the oracle.
     Each sigma the oracle can accept is generated and decided by it, one
-    per right coset of the Young subgroup of the atoms, which stands for
+    per right coset of the Young subgroup of the cells, which stands for
     its whole coset.  The predicted cosets are built, not decided, and the
     disagreements are their set difference with the accepted ones (see
     _verify_rows); every other sigma agrees, both sides being false.  A
@@ -566,6 +503,11 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     same-diagram block condition map each atom onto itself, so there are
     |Y| of them per diagram, for Y the Young subgroup of its atoms.
 
+    The first diagram is the n-cell column, whose expansion has 2^(n - 1)
+    terms, so n with 2^(n - 1) > EXPANSION_TERM_CAP raises ValueError
+    before any diagram is enumerated: 2^(n - 1) > cap exactly when n - 1
+    is at least the cap's bit length, and no power is computed.
+
     The rows are dealt round robin into min(jobs, os.cpu_count()) chunks;
     this process sweeps the first and a worker process each other one.  A
     worker that raises or dies makes this call raise RuntimeError, and on
@@ -575,6 +517,11 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         raise ValueError("n must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if n - 1 >= EXPANSION_TERM_CAP.bit_length():
+        raise ValueError(
+            f"the {n}-cell column's expansion has 2^{n - 1} terms, "
+            f"more than the cap of {EXPANSION_TERM_CAP}"
+        )
     entries = tuple(_entry(d) for d in connected_diagrams(n))
     count = len(entries)
     rows = tuple(range(count))

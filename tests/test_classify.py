@@ -460,21 +460,30 @@ def _stabilizer_order(key):
     return math.prod(math.factorial(s) ** m * math.factorial(m) for s, m in sizes.items())
 
 
+def _keys_by_signature(expansion):
+    """The keys of the expansion grouped by signature, each group sorted."""
+    grouped = {}
+    for raw, coeff in expansion._terms.items():
+        sig = tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator
+        grouped.setdefault(sig, []).append(raw)
+    return {sig: tuple(sorted(keys)) for sig, keys in grouped.items()}
+
+
 def _per_coset_observed(first, second):
     """Every sigma with act(sigma, E_D) == E_T, decided one at a time over
-    the cosets of the pivot's stabilizer.  The pivot is not the kernel's row
-    blocks but a key whose signature leaves the fewest sigma to decide:
-    stabilizer order times the number of keys of E_T with that signature."""
+    the cosets of the pivot's stabilizer.  The pivot is a key whose
+    signature leaves the fewest sigma to decide: stabilizer order times the
+    number of keys of E_T with that signature.  The kernel matches cells
+    instead, and pivots on no key."""
     target = second.expansion
     if len(first.expansion) != len(target):
         return
-    candidates = second.keys_by_signature
+    groups, candidates = _keys_by_signature(first.expansion), _keys_by_signature(target)
     sig = min(
-        first.keys_by_signature,
-        key=lambda sig: _stabilizer_order(first.keys_by_signature[sig][0])
-        * len(candidates.get(sig, ())),
+        groups,
+        key=lambda sig: _stabilizer_order(groups[sig][0]) * len(candidates.get(sig, ())),
     )
-    pivot = first.keys_by_signature[sig][0]
+    pivot = groups[sig][0]
     for key in candidates.get(sig, ()):
         choices = [(block, tuple(c for c in key if len(c) == len(block))) for block in pivot]
         for images in _per_coset_block_maps(choices):
@@ -492,6 +501,7 @@ def _per_coset(n):
     found = []
     pairs = same_equal = same_condition = 0
     for i, first in enumerate(entries):
+        rows = tuple((block[0], block[-1]) for block in first.rows)
         pairs += count - 1
         same_equal += sum(1 for _ in _per_coset_observed(first, first))
         for images in _per_coset_block_maps([(atom, (atom,)) for atom in first.atoms]):
@@ -503,7 +513,8 @@ def _per_coset(n):
             if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
                 continue
             for images in _per_coset_observed(first, second):
-                if not (conditions_12 and classify._meets_condition_3(images, first.rows)):
+                complement = tuple(n + 1 - v for v in images)
+                if not (conditions_12 and _fixes_intervals(complement, rows)):
                     found.append(Disagreement(i * count + j, i, j, images, False, True))
             if conditions_12:
                 predicted = [(block, (classify._row_target(block, n),)) for block in first.rows]
@@ -629,9 +640,8 @@ def test_cells_are_the_atoms():
 
 def _reference_entry(d):
     """The table entry built the long way: atoms by scanning every block
-    of every key for every point, the atoms cut along the row blocks, the
-    row signature from the row lengths, colours counted key by key and
-    point by point."""
+    of every key for every point, the atoms cut along the row blocks,
+    colours counted key by key and point by point."""
     src = source_skew_schur(d)
     n = d.size
     keys_by_signature = {}
@@ -652,8 +662,6 @@ def _reference_entry(d):
     return classify._Entry(
         diagram=d,
         expansion=src,
-        keys_by_signature={sig: tuple(keys) for sig, keys in keys_by_signature.items()},
-        row_signature=(tuple(sorted(d.row_lengths().parts)), 1, d.row_lengths().factorial()),
         fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
         rows=rows,
         atoms=atoms,
@@ -723,7 +731,8 @@ def test_relabeling_keeps_colours():
     """Brute force over every ordered pair of connected diagrams with
     n <= 6, same-diagram pairs included, and every sigma in S_n: a sigma
     with act(sigma, E_D) == E_T maps each point to a point of E_T with the
-    point's colour in E_D, so _observed may deal by colour."""
+    point's colour in E_D, and each cell of D onto a cell of T, so
+    _observed may match cells of one size and colour."""
     distinct_hits = 0
     for n in range(1, 7):
         entries = _table(n)
@@ -733,6 +742,9 @@ def test_relabeling_keeps_colours():
                 for p in perms:
                     if first.expansion.relabels_to(p, second.expansion):
                         distinct_hits += i != j
+                        for cell in first.cells:
+                            image = tuple(sorted(p[x - 1] for x in cell))
+                            assert image in second.cells, (first.diagram, second.diagram, p)
                         for x in range(1, n + 1):
                             assert second.colours[p[x - 1] - 1] == first.colours[x - 1], (
                                 first.diagram,
@@ -760,10 +772,10 @@ def test_colours_are_exact_counts_constant_on_cells():
 
 
 def test_rows_phase_deals_by_colour(monkeypatch):
-    """Dealing each piece only the target points of its colour, taking the
+    """Matching each cell only to cells of its size and colour, taking the
     identity undecided on a same-diagram row, and looking the predicted
     cosets up among the observed ones leaves the sweep of n=7 at most 100
-    labelings to decide (76; 7,868 without colours, 181 deciding the
+    labelings to decide (77; 9,223 without colours, 182 deciding the
     identity): no same-diagram row decides the identity, and no labeling of
     a pair is decided twice."""
     calls = []
@@ -795,9 +807,10 @@ def test_row_blocks_are_a_key_of_the_source_expansion():
 
 
 def test_an_entry_without_the_row_blocks_key_is_refused(monkeypatch):
-    """The sweep pivots on the row blocks and quotients by the atoms only
-    because the row blocks are a key of E_D, so _entry refuses an expansion
-    without that key, with an error that python -O keeps."""
+    """The sweep quotients by the cells, and keeps condition 3 constant on
+    each coset, only because the row blocks are a key of E_D, so _entry
+    refuses an expansion without that key, with an error that python -O
+    keeps."""
     d = HOOK
     one_block = h(SetPartition((tuple(range(1, d.size + 1)),)))
     monkeypatch.setattr(classify, "source_skew_schur", lambda _d: one_block)
@@ -935,8 +948,22 @@ def test_verify_ten_counters():
     assert report.same_diagram_checks == count * math.factorial(10)
 
 
-def test_verify_validation():
+def test_verify_validation(monkeypatch):
+    """Bad sizes and job counts raise ValueError, and so does every n whose
+    n-cell column, the first diagram, has 2^(n - 1) terms, more than the cap
+    of 2^16: n >= 18, even one whose power of two is out of reach.  None of
+    these enumerates a diagram; n = 17 goes on to the enumeration."""
+
+    def enumerated(n):
+        raise LookupError(f"enumerated n={n}")
+
+    monkeypatch.setattr(classify, "connected_diagrams", enumerated)
     with pytest.raises(ValueError):
         verify_exhaustive(0)
     with pytest.raises(ValueError):
         verify_exhaustive(3, jobs=0)
+    for n in (18, 10**18):
+        with pytest.raises(ValueError, match=f"2\\^{n - 1} terms.*cap of {2**16}"):
+            verify_exhaustive(n)
+    with pytest.raises(LookupError, match="n=17"):
+        verify_exhaustive(17)

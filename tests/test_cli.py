@@ -104,10 +104,21 @@ def test_verify(capsys):
     assert lines[-1] == "PASS"
 
 
-def test_verify_cap(capsys):
+def test_verify_cap(capsys, monkeypatch):
+    """verify above the default cap needs --force, and verify 30 --force,
+    whose 30-cell column exceeds the expansion term cap, is refused before
+    any diagram is enumerated, with one error line and exit code 1."""
+
+    def enumerated(n):
+        raise AssertionError(f"enumerated n={n}")
+
+    monkeypatch.setattr(classify, "connected_diagrams", enumerated)
     code, _, err = run(capsys, "verify", "12")
     assert code == 1
     assert "--force" in err
+    code, out, err = run(capsys, "verify", "30", "--force")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_verify_reports_a_sweep_that_cannot_run(capsys, monkeypatch):

@@ -241,7 +241,10 @@ def test_surviving_terms_match_permutation_oracle():
 
 
 def test_surviving_terms_of_columns():
+    """The n-cell column, the first diagram connected_diagrams(n) gives, has
+    2^(n - 1) terms."""
     for n in range(1, 13):
+        assert connected_diagrams(n)[0] == _column(n)
         m = _column(n).jt_subscripts()
         assert m.term_count() == 2 ** (n - 1)
         assert sum(1 for _ in m.surviving_terms()) == 2 ** (n - 1)
