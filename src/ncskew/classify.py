@@ -9,15 +9,18 @@ h-basis expansions, and `verify_exhaustive` confronts the two over every
 ordered pair of distinct connected diagrams of a given size and every
 labeling coset representative.
 
-Relabeling keeps each term's signature, its sorted block sizes and its
-coefficient, so two source expansions can match under some sigma only when
-their fingerprints agree: the multisets of (signature, number of keys)
-pairs.  The sweep counts a pair that fails conditions 1 and 2 and whose
-fingerprints differ as n! agreements at once, both sides being false for
-every sigma.  The fingerprint determines the commutative image, so this
-filter already skips every pair that the overlap condition of Reiner, Shaw
-and van Willigenburg would, and it needs no unfiltered run to check it;
-the `prune` argument of `verify_exhaustive` has no effect.
+The sweep filters and matches with one invariant, the colour lemma below:
+a sigma with act(sigma, E_D) == E_T maps each cell of D onto a cell of T
+of the same size and colour.  So the two diagrams' cells, grouped into
+classes by (size, colour), must agree class by class in key and number,
+and a diagram's fingerprint is that shape.  The sweep counts a pair that
+fails conditions 1 and 2 and whose fingerprints differ as n! agreements at
+once, both sides being false for every sigma.  That this filter skips
+every pair the overlap condition of Reiner, Shaw and van Willigenburg
+would is observed, not proved: for every n <= 12 each fingerprint is held
+by one diagram or by a nonsymmetric ribbon and its rotation, whose overlap
+partitions agree (the tests check this).  The `prune` argument of
+`verify_exhaustive` has no effect.
 
 The sweep also works modulo the Young subgroup Y of the atoms: the points
 grouped by the blocks of the source expansion's keys that contain them.
@@ -217,12 +220,8 @@ class VerificationReport:
         return not self.disagreements
 
 
-# What relabeling keeps of a term: its block sizes, sorted, and its
-# coefficient as numerator and denominator, so it hashes and compares ints.
-Signature = tuple[tuple[int, ...], int, int]
-# The colour of each of 1..n in turn; a point's colour is (c_1, ..., c_n),
-# c_k the number of keys whose block containing the point has k points.
-Colouring = tuple[tuple[int, ...], ...]
+# A cell class's key: the size of its cells and the colour of their points.
+ClassKey = tuple[int, tuple[int, ...]]
 
 
 def _young_order(pieces: Blocks) -> int:
@@ -276,14 +275,13 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
 class _Entry:
     """What the sweep needs of one diagram.
 
-    fingerprint is the sorted tuple of (signature, number of keys of E_D
-    with it), which every sigma keeps.  partner is _rotation_partner of the
-    diagram, and atoms give the same-diagram block condition: 1..n grouped
-    by the key blocks that contain each point.  Every key is an interval
-    set partition (see source_skew_schur), so the atoms are intervals, and
-    x and x + 1 share every block exactly when no key block ends at x.  The
-    sigma mapping each atom onto itself, the Young subgroup of the atoms,
-    are exactly those preserving every block of every key.
+    partner is _rotation_partner of the diagram, and atoms give the
+    same-diagram block condition: 1..n grouped by the key blocks that
+    contain each point.  Every key is an interval set partition (see
+    source_skew_schur), so the atoms are intervals, and x and x + 1 share
+    every block exactly when no key block ends at x.  The sigma mapping
+    each atom onto itself, the Young subgroup of the atoms, are exactly
+    those preserving every block of every key.
 
     cells, whose Young subgroup Y the sweep works modulo and which _observed
     matches, are the atoms, in a field of their own so that the quotient
@@ -296,29 +294,31 @@ class _Entry:
     every row block is a union of atoms too, Y keeps each row block, and
     condition 3 cannot tell sigma y from sigma.
 
-    colours holds the colour of each of 1..n: (c_1, ..., c_n), c_k the
-    number of keys whose block holding the point has k points.  Relabeling
-    keeps colours, and points of one cell share one (see the module
-    docstring).
+    classes groups the cells by their key (size, colour), sorted by key,
+    and fingerprint is that grouping's shape, ((key, number of cells), ...).
+    Relabeling keeps both up to the cells themselves (see the module
+    docstring), so the sweep buckets the table by fingerprint and _observed
+    matches the cells class by class.
     """
 
     diagram: SkewDiagram
     expansion: NCExpansion
-    fingerprint: tuple[tuple[Signature, int], ...]
+    fingerprint: tuple[tuple[ClassKey, int], ...]
     rows: Blocks
     atoms: Blocks
     cells: Blocks
-    colours: Colouring
+    classes: tuple[tuple[ClassKey, Blocks], ...]
     partner: SkewDiagram | None
 
 
 def _entry(d: SkewDiagram) -> _Entry:
-    """Two Counters go over the raw keys of E_D: one counts the keys of
-    each signature, the other how many keys hold each distinct block.  A
-    point's colour adds up those counts over the blocks holding it, and the
-    atoms are the intervals between consecutive block ends: the keys are
-    interval set partitions, so there are at most n(n + 1)/2 distinct
-    blocks, however many keys there are.
+    """One Counter goes over the raw keys of E_D, counting how many keys
+    hold each distinct block.  A point's colour adds up those counts over
+    the blocks holding it, and the atoms are the intervals between
+    consecutive block ends: the keys are interval set partitions, so there
+    are at most n(n + 1)/2 distinct blocks, however many keys there are.
+    Each cell takes the colour of its first point, which its other points
+    share.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
     sweep's quotient by the cells, under which condition 3 and the
@@ -327,10 +327,6 @@ def _entry(d: SkewDiagram) -> _Entry:
     rows = interval_blocks(d.row_lengths().parts)
     if rows not in src._terms:
         raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")
-    signatures = Counter(
-        (tuple(sorted(map(len, raw))), coeff.numerator, coeff.denominator)
-        for raw, coeff in src._terms.items()
-    )
     held = Counter(itertools.chain.from_iterable(src._terms))
     counts = [[0] * d.size for _ in range(d.size)]
     for block, keys in held.items():
@@ -338,14 +334,18 @@ def _entry(d: SkewDiagram) -> _Entry:
             counts[x - 1][len(block) - 1] += keys
     ends = sorted({block[-1] for block in held})
     atoms = interval_blocks(end - start for start, end in zip([0, *ends], ends))
+    grouped: dict[ClassKey, list[tuple[int, ...]]] = {}
+    for atom in atoms:
+        grouped.setdefault((len(atom), tuple(counts[atom[0] - 1])), []).append(atom)
+    classes = tuple(sorted((key, tuple(cells)) for key, cells in grouped.items()))
     return _Entry(
         diagram=d,
         expansion=src,
-        fingerprint=tuple(sorted(signatures.items())),
+        fingerprint=tuple((key, len(cells)) for key, cells in classes),
         rows=rows,
         atoms=atoms,
         cells=atoms,
-        colours=tuple(map(tuple, counts)),
+        classes=classes,
         partner=_rotation_partner(d),
     )
 
@@ -357,29 +357,26 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     representative increasing on every cell.
 
     Such a sigma maps each cell of first onto a cell of second of the same
-    size and colour (see the module docstring), as x and y share every key
-    block exactly when sigma(x) and sigma(y) do.  So the cells of both are
-    grouped by (size, colour); a pair whose classes differ in size has no
-    such sigma, and otherwise every bijection between matching classes
-    gives one coset sigma Y, whose representative relabels_to decides.
-    Every key of E_D is a union of cells, so Y fixes E_D, and relabels_to
-    decides the whole coset as it decides sigma.  Every other sigma moves
-    some cell off the cells of second or onto another colour, and fails.
+    size and colour (see the module docstring).  So the classes of both are
+    zipped, and a pair whose class keys or class sizes differ has no such
+    sigma; both sides cover 1..n, so classes agreeing along the shorter
+    side agree in number too.  Equal classes also force equal term counts,
+    as a point's colour sums to the number of keys.  Otherwise every
+    bijection between matching classes gives one coset sigma Y, whose
+    representative relabels_to decides.  Every key of E_D is a union of
+    cells, so Y fixes E_D, and relabels_to decides the whole coset as it
+    decides sigma.  Every other sigma moves some cell off the cells of
+    second or onto another colour, and fails.
 
     act(id, E_D) == E_D, so when first is second the identity passes
     undecided.
     """
+    classes = tuple(zip(first.classes, second.classes))
+    if any(k1 != k2 or len(c1) != len(c2) for (k1, c1), (k2, c2) in classes):
+        return
+    sources = [cell for (_, cells), _ in classes for cell in cells]
+    matchings = itertools.product(*(itertools.permutations(cells) for _, (_, cells) in classes))
     target = second.expansion
-    if len(first.expansion) != len(target):
-        return
-    classes: dict[tuple[int, tuple[int, ...]], tuple[list, list]] = {}
-    for side, entry in enumerate((first, second)):
-        for cell in entry.cells:
-            classes.setdefault((len(cell), entry.colours[cell[0] - 1]), ([], []))[side].append(cell)
-    if any(len(sources) != len(targets) for sources, targets in classes.values()):
-        return
-    sources = [cell for cells, _ in classes.values() for cell in cells]
-    matchings = itertools.product(*(itertools.permutations(cells) for _, cells in classes.values()))
     relabels_to = first.expansion.relabels_to
     known = tuple(range(1, first.diagram.size + 1)) if first is second else None
     images = [0] * first.diagram.size
@@ -405,14 +402,16 @@ def _verify_rows(
     differ has no observed sigma and no predicted one, so all its labelings
     agree: the table is grouped by fingerprint once, and each row visits
     only itself, its bucket mates and its rotation partner, whatever the
-    partner's bucket.  _observed yields the observed sigma, and it is the
-    only place relabels_to decides one.  _representatives gives the
-    predicted sigma: on a same-diagram pair the block condition's, each atom
-    onto itself; on a rotation pair those mapping each row block onto its
-    _row_target; on every other pair none.  The disagreements are then one
-    set expression per pair: predicted - observed on a same-diagram pair,
-    whose block condition is only sufficient, and predicted ^ observed on a
-    distinct pair, whose predicate is exact.  Every other labeling agrees.
+    partner's bucket, so no pair meeting conditions 1 and 2 is skipped on
+    the strength of the fingerprint.  _observed yields the observed sigma,
+    and it is the only place relabels_to decides one.  _representatives
+    gives the predicted sigma: on a same-diagram pair the block
+    condition's, each atom onto itself; on a rotation pair those mapping
+    each row block onto its _row_target; on every other pair none.  The
+    disagreements are then one set expression per pair: predicted -
+    observed on a same-diagram pair, whose block condition is only
+    sufficient, and predicted ^ observed on a distinct pair, whose
+    predicate is exact.  Every other labeling agrees.
 
     Both sets are unions of right cosets sigma Y, for Y the Young subgroup
     of the first diagram's cells, one subgroup per row, and both verdicts
@@ -427,7 +426,7 @@ def _verify_rows(
     n = entries[0].diagram.size
     count = len(entries)
     index = {entry.diagram: k for k, entry in enumerate(entries)}
-    buckets: dict[tuple[tuple[Signature, int], ...], list[int]] = {}
+    buckets: dict[tuple[tuple[ClassKey, int], ...], list[int]] = {}
     for k, entry in enumerate(entries):
         buckets.setdefault(entry.fingerprint, []).append(k)
     same_equal = 0
@@ -494,10 +493,11 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     its whole coset.  The predicted cosets are built, not decided, and the
     disagreements are their set difference with the accepted ones (see
     _verify_rows); every other sigma agrees, both sides being false.  A
-    pair that fails conditions 1 and 2 and whose fingerprints differ is
-    decided whole, in one step, on every run.  prune has no
-    effect: the fingerprint filter skips every pair that the overlap
-    condition once pruned.  For c diagrams there are c(c - 1) pairs,
+    pair that fails conditions 1 and 2 and whose fingerprints, the shapes
+    of their (size, colour) cell classes, differ is decided whole, in one
+    step, on every run.  prune has no effect: the fingerprint filter skips
+    every pair that the overlap condition once pruned, as checked for
+    n <= 12.  For c diagrams there are c(c - 1) pairs,
     c^2 n! coset checks and c n! same-diagram checks, and the agreements
     are the coset checks less the disagreements.  The sigma meeting the
     same-diagram block condition map each atom onto itself, so there are

@@ -20,9 +20,9 @@ from .permutations import Permutation
 from .textio import ParseError
 
 # The largest n whose `verify` surely finishes within 10 s with jobs 1 on a
-# 2-vCPU VM with Python 3.11: there, through the CLI, verify 11 took 3.2-3.4 s
-# and verify 12 8.9-9.8 s (peak RSS 120 MB), and that host's speed swings by
-# up to 2x, which puts verify 12 over 10 s.
+# 2-vCPU VM with Python 3.11: there, through the CLI, verify 11 took 1.6-2.1 s
+# and verify 12 4.9-5.8 s (peak RSS 69 MB), and that host's speed swings by
+# up to 2x, which can put verify 12 over 10 s.
 VERIFY_CAP = 11
 
 

@@ -354,21 +354,85 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
         assert {cell_images(images, cells) for images in predicted} <= covered
 
 
-def test_fingerprints_refine_the_overlap_partitions_and_match_the_commutative_image():
-    """Over every ordered pair of connected diagrams with n <= 7: diagrams
-    whose overlap partitions differ have different fingerprints, so the
-    fingerprint filter skips every pair the overlap condition would; and
-    two fingerprints are equal exactly when the commutative images are."""
+def _assert_buckets_are_rotation_pairs(n):
+    """Every fingerprint of the table of size n is held by one diagram, or
+    by a nonsymmetric ribbon D and its rotation, which then share their
+    overlap partitions and their commutative image; and every nonsymmetric
+    ribbon shares its fingerprint with its rotation."""
+    entries = _table(n)
+    buckets = {}
+    for e in entries:
+        buckets.setdefault(e.fingerprint, []).append(e)
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            continue
+        assert len(bucket) == 2, [e.diagram for e in bucket]
+        d, t = (e.diagram for e in bucket)
+        assert d.is_ribbon() and not d.is_symmetric() and t == d.rotate(), (d, t)
+        assert overlap_partitions(d) == overlap_partitions(t), (d, t)
+        assert to_commutative(bucket[0].expansion) == to_commutative(bucket[1].expansion), (d, t)
+    for e in entries:
+        if e.partner is not None:
+            assert e.partner in [mate.diagram for mate in buckets[e.fingerprint]], e.diagram
+
+
+def test_fingerprint_buckets_are_a_diagram_or_a_ribbon_and_its_rotation():
+    """The fingerprint filter skips every pair the overlap condition would,
+    and every pair with a different commutative image, for n <= 8: no two
+    diagrams share a fingerprint unless they are a rotation pair."""
+    for n in range(1, 9):
+        _assert_buckets_are_rotation_pairs(n)
+
+
+@pytest.mark.slow
+def test_fingerprint_buckets_up_to_twelve():
+    for n in range(9, 13):
+        _assert_buckets_are_rotation_pairs(n)
+
+
+def test_sweep_visits_only_same_diagram_and_rotation_pairs(monkeypatch):
+    """The fingerprint filter does its job in the sweep: for n <= 7 the
+    pairs handed to _observed are exactly the same-diagram pairs and the
+    rotation pairs."""
+    observed = classify._observed
+    visited = []
+
+    def recording_observed(first, second):
+        visited.append((first.diagram, second.diagram))
+        return observed(first, second)
+
+    monkeypatch.setattr(classify, "_observed", recording_observed)
+    for n in range(1, 8):
+        visited.clear()
+        verify_exhaustive(n)
+        diagrams = list(connected_diagrams(n))
+        rotations = [(d, d.rotate()) for d in diagrams if d.is_ribbon() and not d.is_symmetric()]
+        assert Counter(visited) == Counter([(d, d) for d in diagrams] + rotations), n
+
+
+def test_observed_decides_nothing_when_the_classes_differ(monkeypatch):
+    """_observed checks the classes itself, apart from the sweep's filter:
+    on every ordered pair of connected diagrams with n <= 7 whose cell
+    classes differ in a key or a size, it yields nothing and makes no
+    relabels_to call."""
+
+    def no_decision(*args):
+        raise AssertionError("relabels_to was called")
+
+    monkeypatch.setattr(NCExpansion, "relabels_to", no_decision)
+    skipped = 0
     for n in range(1, 8):
         entries = _table(n)
-        overlaps = [overlap_partitions(e.diagram) for e in entries]
-        images = [to_commutative(e.expansion) for e in entries]
-        for i, first in enumerate(entries):
-            for j, second in enumerate(entries):
-                same_fingerprint = first.fingerprint == second.fingerprint
-                if overlaps[i] != overlaps[j]:
-                    assert not same_fingerprint, (first.diagram, second.diagram)
-                assert same_fingerprint == (images[i] == images[j]), (first.diagram, second.diagram)
+        for first in entries:
+            shape = [(key, len(cells)) for key, cells in first.classes]
+            for second in entries:
+                if shape != [(key, len(cells)) for key, cells in second.classes]:
+                    skipped += 1
+                    assert list(classify._observed(first, second)) == [], (
+                        first.diagram,
+                        second.diagram,
+                    )
+    assert skipped
 
 
 def _fixes_intervals(images, intervals):
@@ -469,6 +533,13 @@ def _keys_by_signature(expansion):
     return {sig: tuple(sorted(keys)) for sig, keys in grouped.items()}
 
 
+def _signature_fingerprint(expansion):
+    """The sorted (term signature, number of keys with it) pairs of the
+    expansion, which every sigma keeps: a filter of the tests' own, apart
+    from the kernel's cell classes."""
+    return tuple(sorted((sig, len(keys)) for sig, keys in _keys_by_signature(expansion).items()))
+
+
 def _per_coset_observed(first, second):
     """Every sigma with act(sigma, E_D) == E_T, decided one at a time over
     the cosets of the pivot's stabilizer.  The pivot is a key whose
@@ -494,8 +565,10 @@ def _per_coset_observed(first, second):
 def _per_coset(n):
     """The indexed sweep kernel without the Young subgroup quotient, kept as
     an oracle for it: the sigma of every pivot coset, of every predicted
-    coset and of the atoms' Young subgroup are decided one at a time."""
+    coset and of the atoms' Young subgroup are decided one at a time, and
+    pairs are skipped by term signatures, not by the kernel's fingerprint."""
     entries = _table(n)
+    fingerprints = [_signature_fingerprint(e.expansion) for e in entries]
     count = len(entries)
     per_pair = math.factorial(n)
     found = []
@@ -510,7 +583,7 @@ def _per_coset(n):
                 found.append(Disagreement(i * count + i, i, i, images, True, False))
         for j, second in enumerate(entries):
             conditions_12 = second.diagram == first.partner
-            if j == i or (not conditions_12 and first.fingerprint != second.fingerprint):
+            if j == i or (not conditions_12 and fingerprints[i] != fingerprints[j]):
                 continue
             for images in _per_coset_observed(first, second):
                 complement = tuple(n + 1 - v for v in images)
@@ -641,14 +714,12 @@ def test_cells_are_the_atoms():
 def _reference_entry(d):
     """The table entry built the long way: atoms by scanning every block
     of every key for every point, the atoms cut along the row blocks,
-    colours counted key by key and point by point."""
+    colours counted key by key and point by point, and each cell's class
+    keyed by the one colour all its points share."""
     src = source_skew_schur(d)
     n = d.size
-    keys_by_signature = {}
     colours = [[0] * n for _ in range(n)]
-    for key, coeff in src.items():
-        sig = tuple(sorted(len(b) for b in key.blocks)), coeff.numerator, coeff.denominator
-        keys_by_signature.setdefault(sig, []).append(key.blocks)
+    for key in src.support():
         for block in key.blocks:
             for x in block:
                 colours[x - 1][len(block) - 1] += 1
@@ -658,17 +729,23 @@ def _reference_entry(d):
         grouped.setdefault(tuple(sorted(b for b in blocks if x in b)), []).append(x)
     atoms = tuple(tuple(atom) for atom in grouped.values())
     rows = classify.interval_blocks(d.row_lengths().parts)
+    cells = tuple(
+        piece for atom in atoms for row in rows if (piece := tuple(x for x in atom if x in row))
+    )
+    classes = {}
+    for cell in cells:
+        (colour,) = {tuple(colours[x - 1]) for x in cell}
+        classes.setdefault((len(cell), colour), []).append(cell)
+    classes = sorted((key, tuple(group)) for key, group in classes.items())
     rotated = d.rotate()
     return classify._Entry(
         diagram=d,
         expansion=src,
-        fingerprint=tuple(sorted((sig, len(keys)) for sig, keys in keys_by_signature.items())),
+        fingerprint=tuple((key, len(group)) for key, group in classes),
         rows=rows,
         atoms=atoms,
-        cells=tuple(
-            piece for atom in atoms for row in rows if (piece := tuple(x for x in atom if x in row))
-        ),
-        colours=tuple(map(tuple, colours)),
+        cells=cells,
+        classes=tuple(classes),
         partner=rotated if d.is_ribbon() and rotated != d else None,
     )
 
@@ -727,26 +804,61 @@ def test_a_failing_worker_makes_the_sweep_raise(monkeypatch, started_workers):
         assert multiprocessing.active_children() == []
 
 
+def _colours(expansion, n):
+    """The colour of each of 1..n under the expansion, counted key by key:
+    for each block size k, the keys whose block holding the point has k
+    points."""
+    keys = [key.blocks for key in expansion.support()]
+    colours = []
+    for x in range(1, n + 1):
+        holding = [len(b) for key in keys for b in key if x in b]
+        colours.append(tuple(holding.count(k) for k in range(1, n + 1)))
+    return colours
+
+
+def _class_keys(entry):
+    """Each cell of the entry mapped to the key of its class."""
+    return {cell: key for key, cells in entry.classes for cell in cells}
+
+
+def _adjacent(entry):
+    """The pairs of consecutive points within each cell of the entry."""
+    return [(a, b) for cell in entry.cells for a, b in zip(cell, cell[1:])]
+
+
 def test_relabeling_keeps_colours():
     """Brute force over every ordered pair of connected diagrams with
     n <= 6, same-diagram pairs included, and every sigma in S_n: a sigma
     with act(sigma, E_D) == E_T maps each point to a point of E_T with the
-    point's colour in E_D, and each cell of D onto a cell of T, so
-    _observed may match cells of one size and colour."""
+    point's colour in E_D, and each cell of D onto a cell of T of the same
+    class, so _observed may match cells class by class; and _observed
+    yields exactly those sigma that increase on every cell of D."""
     distinct_hits = 0
     for n in range(1, 7):
         entries = _table(n)
+        colours = [_colours(e.expansion, n) for e in entries]
+        class_keys = [_class_keys(e) for e in entries]
         perms = list(itertools.permutations(range(1, n + 1)))
         for i, first in enumerate(entries):
+            increasing = [p for p in perms if all(p[a - 1] < p[b - 1] for a, b in _adjacent(first))]
             for j, second in enumerate(entries):
+                representatives = set(classify._observed(first, second))
+                assert representatives == {
+                    p for p in increasing if first.expansion.relabels_to(p, second.expansion)
+                }, (first.diagram, second.diagram)
                 for p in perms:
                     if first.expansion.relabels_to(p, second.expansion):
                         distinct_hits += i != j
                         for cell in first.cells:
                             image = tuple(sorted(p[x - 1] for x in cell))
                             assert image in second.cells, (first.diagram, second.diagram, p)
+                            assert class_keys[j][image] == class_keys[i][cell], (
+                                first.diagram,
+                                second.diagram,
+                                p,
+                            )
                         for x in range(1, n + 1):
-                            assert second.colours[p[x - 1] - 1] == first.colours[x - 1], (
+                            assert colours[j][p[x - 1] - 1] == colours[i][x - 1], (
                                 first.diagram,
                                 second.diagram,
                                 p,
@@ -757,18 +869,22 @@ def test_relabeling_keeps_colours():
 def test_colours_are_exact_counts_constant_on_cells():
     """A colour counts, for each block size k, the keys whose block holding
     the point has k points, in plain ints; points of one cell lie in the
-    same blocks, so they share a colour, for every connected diagram with
-    n <= 8."""
+    same blocks, so every point of every cell in a class has that class's
+    colour, and the classes, sorted by key, hold exactly the cells, for
+    every connected diagram with n <= 8."""
     for n in range(1, 9):
         for e in _table(n):
-            keys = [key.blocks for key in e.expansion.support()]
-            for x in range(1, n + 1):
-                colour = e.colours[x - 1]
-                assert all(type(c) is int for c in colour)
-                holding = [len(b) for key in keys for b in key if x in b]
-                assert colour == tuple(holding.count(k) for k in range(1, n + 1))
-            for cell in e.cells:
-                assert len({e.colours[x - 1] for x in cell}) == 1, (e.diagram, cell)
+            colours = _colours(e.expansion, n)
+            keys = [key for key, _ in e.classes]
+            assert keys == sorted(set(keys)), e.diagram
+            assert sorted(cell for _, cells in e.classes for cell in cells) == sorted(e.cells)
+            assert sorted(x for cell in e.cells for x in cell) == list(range(1, n + 1))
+            for (size, colour), cells in e.classes:
+                assert type(size) is int and all(type(c) is int for c in colour)
+                for cell in cells:
+                    assert len(cell) == size, (e.diagram, cell)
+                    for x in cell:
+                        assert colour == colours[x - 1], (e.diagram, cell, x)
 
 
 def test_rows_phase_deals_by_colour(monkeypatch):
