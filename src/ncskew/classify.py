@@ -61,7 +61,7 @@ from multiprocessing.process import BaseProcess
 from typing import Iterator
 
 from .diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams
-from .ncsym import NCExpansion, source_skew_schur
+from .ncsym import NCExpansion, _jacobi_trudi, source_skew_schur
 from .permutations import Permutation
 from .setpartitions import Blocks, SetPartition, interval_blocks
 
@@ -161,10 +161,11 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
         raise ValueError("diagram must be connected")
     if sigma.size != d.size:
         raise ValueError(f"labeling size {sigma.size} differs from diagram size {d.size}")
-    src = source_skew_schur(d)
+    entry = _entry(d)
+    src = entry.expansion
     return SameDiagramVerdict(
         equal=src.relabels_to(sigma.images, src),
-        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(_entry(d).atoms)),
+        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(entry.atoms)),
     )
 
 
@@ -229,11 +230,6 @@ def _young_order(pieces: Blocks) -> int:
     return prod(factorial(len(piece)) for piece in pieces)
 
 
-def _split(block: tuple[int, ...], cells: Blocks) -> Blocks:
-    """The block cut along the cells: its nonempty intersection with each."""
-    return tuple(piece for cell in cells if (piece := tuple(x for x in cell if x in block)))
-
-
 def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every way to deal the values out to the pieces, each piece getting
     as many as it holds, in increasing order."""
@@ -249,16 +245,19 @@ def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int
 def _representatives(blocks: Blocks, targets: Blocks, cells: Blocks) -> set[tuple[int, ...]]:
     """The sigma mapping each block onto its target, one per right coset of
     the Young subgroup of the cells, which refine the blocks: the sigma
-    increasing on every cell.  Each block's target is dealt over the
-    block's cells by _spread, and the product over the blocks is taken;
-    the targets are disjoint, so no target is taken twice."""
-    pieces = [_split(block, cells) for block in blocks]
-    points = [x for split in pieces for piece in split for x in piece]
+    increasing on every cell.  A block's pieces are the cells whose first
+    point lies in it, which are the cells inside it, as the cells refine
+    every block the sweep and _coset hand in.  Each block's target is
+    dealt over its pieces by _spread, and the product over the blocks is
+    taken; the targets are disjoint, so no target is taken twice."""
+    flat = itertools.chain.from_iterable
+    cell_at = {cell[0]: cell for cell in cells}
+    pieces = [[cell_at[x] for x in block if x in cell_at] for block in blocks]
+    points = list(flat(flat(pieces)))
     found = set()
     images = [0] * len(points)
     for dealt in itertools.product(*map(_spread, targets, pieces)):
-        values = (v for deal in dealt for piece in deal for v in piece)
-        for x, v in zip(points, values):
+        for x, v in zip(points, flat(flat(dealt))):
             images[x - 1] = v
         found.add(tuple(images))
     return found
@@ -278,7 +277,7 @@ class _Entry:
     partner is _rotation_partner of the diagram, and atoms give the
     same-diagram block condition: 1..n grouped by the key blocks that
     contain each point.  Every key is an interval set partition (see
-    source_skew_schur), so the atoms are intervals, and x and x + 1 share
+    ncsym._jacobi_trudi), so the atoms are intervals, and x and x + 1 share
     every block exactly when no key block ends at x.  The sigma mapping
     each atom onto itself, the Young subgroup of the atoms, are exactly
     those preserving every block of every key.
@@ -312,26 +311,32 @@ class _Entry:
 
 
 def _entry(d: SkewDiagram) -> _Entry:
-    """One Counter goes over the raw keys of E_D, counting how many keys
-    hold each distinct block.  A point's colour adds up those counts over
-    the blocks holding it, and the atoms are the intervals between
-    consecutive block ends: the keys are interval set partitions, so there
-    are at most n(n + 1)/2 distinct blocks, however many keys there are.
-    Each cell takes the colour of its first point, which its other points
-    share.
+    """E_D comes from one pass over the Jacobi-Trudi walk of d, through
+    _jacobi_trudi, which fills the term dict as it walks and sums a key
+    met twice; source_skew_schur's cache is left alone, as each sweep
+    builds every diagram's entry once.  Everything else reads the distinct
+    keys.  The row-blocks key is looked up, and one Counter goes over the
+    keys, counting how many hold each distinct block.  A point's colour
+    adds up those counts over the blocks holding it, and the atoms are the
+    intervals between consecutive block ends: the keys are interval set
+    partitions, so there are at most n(n + 1)/2 distinct blocks, however
+    many keys there are.  Each cell takes the colour of its first point,
+    which its other points share.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
     sweep's quotient by the cells, under which condition 3 and the
     predicted sets must stay constant, rests on that key."""
-    src = source_skew_schur(d)
+    src = _jacobi_trudi(d)
     rows = interval_blocks(d.row_lengths().parts)
     if rows not in src._terms:
         raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")
     held = Counter(itertools.chain.from_iterable(src._terms))
-    counts = [[0] * d.size for _ in range(d.size)]
+    n = d.size
+    counts = [[0] * n for _ in range(n)]
     for block, keys in held.items():
+        size = len(block) - 1
         for x in block:
-            counts[x - 1][len(block) - 1] += keys
+            counts[x - 1][size] += keys
     ends = sorted({block[-1] for block in held})
     atoms = interval_blocks(end - start for start, end in zip([0, *ends], ends))
     grouped: dict[ClassKey, list[tuple[int, ...]]] = {}

@@ -135,6 +135,15 @@ class SkewDiagram:
         if any(l == m for l, m in zip(lam, padded)):
             raise ValueError(f"shape {lam!r}/{mu!r} has an empty row")
         offset = padded[-1]
+        if type(self.outer) is Partition and type(self.inner) is Partition:
+            # Both are valid, so each row is longer than the offset and the
+            # shifted parts are partitions again: no second validation.
+            if offset:
+                outer = Partition._trusted(tuple(l - offset for l in lam))
+                inner = Partition._trusted(tuple(m - offset for m in mu if m > offset))
+                object.__setattr__(self, "outer", outer)
+                object.__setattr__(self, "inner", inner)
+            return
         if offset:
             lam = tuple(l - offset for l in lam)
             padded = tuple(m - offset for m in padded)

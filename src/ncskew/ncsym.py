@@ -98,9 +98,9 @@ def _composition_term(parts: tuple[int, ...]) -> tuple[Blocks, Fraction, Fractio
     return interval_blocks(parts), coeff, -coeff
 
 
-@lru_cache(maxsize=1024)
-def source_skew_schur(d: SkewDiagram) -> NCExpansion:
-    """The skew Schur function of d with the source labeling.
+def _jacobi_trudi(d: SkewDiagram) -> NCExpansion:
+    """The skew Schur function of d with the source labeling, built afresh;
+    source_skew_schur caches it, and classify's table calls it directly.
 
     Noncommutative Jacobi-Trudi, expanded over the determinant terms with
     no negative subscript only (see SubscriptMatrix.surviving_terms): rows
@@ -111,14 +111,31 @@ def source_skew_schur(d: SkewDiagram) -> NCExpansion:
     partition with consecutive block sizes A[1, w(1)], ..., A[ell, w(ell)]
     (zeros vanish), divided by the product of the factorials of those
     subscripts.  Terms with the same nonzero subscripts share one cached
-    key and coefficient (_composition_term); equal keys are still summed.
-    More than EXPANSION_TERM_CAP terms raise ValueError.
+    key and coefficient (_composition_term).  The term dict is filled in
+    walk order as the walk goes; a key met twice, which no connected
+    diagram with n <= 12 has, is summed in place and dropped if it sums to
+    zero.  More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    terms = []
+    terms: dict[Blocks, Fraction] = {}
+    summed = False
     for subs, sign in d.jt_subscripts().surviving_terms():
         blocks, plus, minus = _composition_term(tuple(filter(None, subs)))
-        terms.append((blocks, plus if sign > 0 else minus))
-    return NCExpansion._from_raw(terms)
+        coeff = plus if sign > 0 else minus
+        if blocks in terms:
+            summed = True
+            coeff += terms[blocks]
+        terms[blocks] = coeff
+    e = object.__new__(NCExpansion)
+    # Each coefficient is a nonzero Fraction; only a summed one can be zero.
+    e._terms = {raw: coeff for raw, coeff in terms.items() if coeff} if summed else terms
+    return e
+
+
+@lru_cache(maxsize=1024)
+def source_skew_schur(d: SkewDiagram) -> NCExpansion:
+    """The skew Schur function of d with the source labeling, expanded by
+    _jacobi_trudi and kept in a bounded cache."""
+    return _jacobi_trudi(d)
 
 
 def skew_schur(delta: Permutation, d: SkewDiagram) -> NCExpansion:

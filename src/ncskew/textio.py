@@ -25,9 +25,16 @@ class ParseError(Exception):
     """Malformed input text; the message names the offending token."""
 
 
+def _is_digits(token: str) -> bool:
+    """Whether token is a nonempty run of the ASCII digits 0-9, the one
+    digit test of every parser here: str.isdigit, int() and the regex \\d
+    also take digits such as "²" or "٣"."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_int(token: str) -> int:
     token = token.strip()
-    if not re.fullmatch(r"\d+", token):
+    if not _is_digits(token):
         raise ParseError(f"not a number: {token!r}")
     return int(token)
 
@@ -95,7 +102,7 @@ def parse_set_partition(text: str) -> SetPartition:
         if "," in chunk or not digit_runs:
             blocks.append(tuple(_parse_int(t) for t in chunk.split(",")))
         else:
-            if not chunk.isdigit():
+            if not _is_digits(chunk):
                 raise ParseError(f"not a block: {chunk!r}")
             blocks.append(tuple(int(ch) for ch in chunk))
     try:
@@ -125,7 +132,7 @@ def parse_permutation(text: str, size: int | None = None) -> Permutation:
     try:
         if "," in text:
             return Permutation(tuple(_parse_int(t) for t in text.split(",")))
-        if not text.isdigit():
+        if not _is_digits(text):
             raise ParseError(f"not a permutation: {text!r}")
         return Permutation(tuple(int(ch) for ch in text))
     except ValueError as exc:
@@ -165,7 +172,11 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d*[1-9]\d*)?", text):  # no zero denominator
+    numerator, slash, denominator = text.removeprefix("-").partition("/")
+    if not slash:
+        denominator = "1"
+    # digits on both sides of the slash, and no zero denominator
+    if not (_is_digits(numerator) and _is_digits(denominator) and denominator.strip("0")):
         raise ParseError(f"not a rational: {text!r}")
     return Fraction(text)
 

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncskew import classify
+from ncskew import classify, ncsym
 from ncskew.compositions import Composition, Partition, compositions
-from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
+from ncskew.diagrams import SkewDiagram, SubscriptMatrix, connected_diagrams, ribbon
 from ncskew.ncsym import NCExpansion, h, skew_schur, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition, relabel, set_partitions
@@ -308,10 +308,13 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
     coset of the Young subgroup of the first diagram's cells, so a predicted
     sigma is covered when some sigma that reached relabels_to maps every
     cell onto the same image set.  The identity fixes every expansion, so
-    it never reaches relabels_to on a same-diagram pair."""
+    it never reaches relabels_to on a same-diagram pair.  The expansions
+    relabels_to sees are told apart by identity, so the patched _entry
+    records the table the run itself builds."""
     n = 5
     base = verify_exhaustive(n)
     checked = []
+    entries = []
     relabels_to = NCExpansion.relabels_to
     entry = classify._entry
 
@@ -320,13 +323,14 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
         return relabels_to(*args)
 
     def own_fingerprint(d):
-        return dataclasses.replace(entry(d), fingerprint=d)
+        entries.append(dataclasses.replace(entry(d), fingerprint=d))
+        return entries[-1]
 
     monkeypatch.setattr(classify, "_entry", own_fingerprint)
     monkeypatch.setattr(NCExpansion, "relabels_to", recording_relabels_to)
     report = verify_exhaustive(n)
-    entries = _table(n)
     diagrams = [e.diagram for e in entries]
+    assert diagrams == connected_diagrams(n)
     index = {id(e.expansion): k for k, e in enumerate(entries)}
     reached = {}
     for source, images, target in checked:
@@ -929,7 +933,36 @@ def test_an_entry_without_the_row_blocks_key_is_refused(monkeypatch):
     keeps."""
     d = HOOK
     one_block = h(SetPartition((tuple(range(1, d.size + 1)),)))
-    monkeypatch.setattr(classify, "source_skew_schur", lambda _d: one_block)
+    monkeypatch.setattr(classify, "_jacobi_trudi", lambda _d: one_block)
+    with pytest.raises(RuntimeError, match="row blocks"):
+        classify._entry(d)
+
+
+def test_a_key_met_twice_by_the_walk_is_summed_or_refused(monkeypatch):
+    """One key per surviving term is only observed, for n <= 12, so the
+    table does not rest on it.  A Jacobi-Trudi walk of the hook that meets
+    the row-blocks key twice with the same sign gets it summed: one key, of
+    coefficient 1, and an entry whose colours count it once.  A walk whose
+    second meeting cancels the first loses the key, and the entry is
+    refused."""
+    d = HOOK
+    plain = classify._entry(d)
+    walk = list(d.jt_subscripts().surviving_terms())
+    rows = SetPartition.from_composition(d.row_lengths())
+    column = SetPartition(((1, 2, 3),))
+
+    def walk_with(extra):
+        return lambda _matrix: iter(walk + [extra])
+
+    monkeypatch.setattr(SubscriptMatrix, "surviving_terms", walk_with(((2, 1), 1)))
+    summed = classify._entry(d)
+    assert summed.expansion == NCExpansion({rows: 1, column: -Fraction(1, 6)})
+    assert len(summed.expansion) == 2
+    for field in dataclasses.fields(classify._Entry):
+        if field.name != "expansion":
+            assert getattr(summed, field.name) == getattr(plain, field.name), field.name
+    monkeypatch.setattr(SubscriptMatrix, "surviving_terms", walk_with(((2, 1), -1)))
+    assert ncsym._jacobi_trudi(d) == NCExpansion({column: -Fraction(1, 6)})
     with pytest.raises(RuntimeError, match="row blocks"):
         classify._entry(d)
 

@@ -125,7 +125,7 @@ def test_verify_reports_a_sweep_that_cannot_run(capsys, monkeypatch):
     """An expansion without its row-blocks key makes the sweep raise
     RuntimeError; the CLI turns it into one error line and exit code 1."""
     monkeypatch.setattr(
-        classify, "source_skew_schur", lambda d: h(SetPartition((tuple(range(1, d.size + 1)),)))
+        classify, "_jacobi_trudi", lambda d: h(SetPartition((tuple(range(1, d.size + 1)),)))
     )
     code, out, err = run(capsys, "verify", "3")
     assert (code, out) == (1, "")
@@ -167,6 +167,17 @@ def test_exit_codes(capsys):
     # argparse rejects the unknown command with its own exit
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_non_ascii_digits_exit_with_a_parse_error(capsys):
+    """int() reads "٣" as 3, but a diagram of non-ASCII digits is a parse
+    error: exit code 2, one error line naming the token, no picture."""
+    code, out, err = run(capsys, "show", "٣")
+    assert (code, out) == (2, "")
+    assert err == "error: not a number: '٣'\n"
+    code, out, err = run(capsys, "expand-nc", "²1", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: not a permutation: '²1'\n"
 
 
 def test_consecutive_calls_share_no_state(capsys):

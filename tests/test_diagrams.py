@@ -20,6 +20,38 @@ def test_validation():
         SkewDiagram(Partition((2, 2)), Partition((2,)))  # empty first row
 
 
+def test_shapes_that_are_not_partitions_are_still_validated():
+    """Only shapes derived from two Partitions skip a second validation; a
+    Composition or WeakComposition handed in is checked as a partition, with
+    the message Partition gives, and every normalized shape is a valid
+    Partition."""
+    with pytest.raises(ValueError, match="partition parts must weakly decrease"):
+        SkewDiagram(Composition((1, 2)))
+    with pytest.raises(ValueError, match="partition parts must weakly decrease"):
+        SkewDiagram(Partition((4, 4, 4)), Composition((2, 3)))
+    with pytest.raises(ValueError, match="partition parts must be positive integers"):
+        SkewDiagram(Partition((3, 3, 3)), WeakComposition((2, 0, 1)))
+    d = SkewDiagram(Composition((2, 1)), Composition((1,)))
+    assert type(d.outer) is Partition and type(d.inner) is Partition
+    assert d == SkewDiagram(Partition((2, 1)), Partition((1,)))
+    shapes = [
+        parts
+        for k in range(4)
+        for parts in product(range(4, 0, -1), repeat=k)
+        if list(parts) == sorted(parts, reverse=True)
+    ]
+    built = 0
+    for lam, mu in product(shapes, shapes):
+        try:
+            d = SkewDiagram(Partition(lam), Partition(mu))
+        except ValueError:
+            continue
+        built += 1
+        assert Partition(d.outer.parts) == d.outer and Partition(d.inner.parts) == d.inner
+        assert d.rows()[-1][0] == 1
+    assert built > 50
+
+
 def test_basic_form_trimming():
     """A common column offset is removed; the bottom row starts at column 1."""
     assert SkewDiagram(Partition((3, 2)), Partition((1, 1))) == SkewDiagram(

@@ -67,6 +67,27 @@ def test_permutation_round_trip():
         textio.parse_permutation("121")
 
 
+def test_non_ascii_digits_are_parse_errors():
+    """Only 0-9 are digits: str.isdigit takes "²" and int() reads "٣" as 3,
+    but every parser refuses both with a ParseError naming the token, never
+    a bare ValueError and never another number."""
+    for parse, text, token in (
+        (textio.parse_set_partition, "1²", "'1²'"),
+        (textio.parse_set_partition, "1,²/3", "'²'"),
+        (textio.parse_nc_expansion, "h[1²]", "'1²'"),
+        (textio.parse_nc_expansion, "٣*h[1]", "'٣'"),
+        (textio.parse_permutation, "²1", "'²1'"),
+        (textio.parse_permutation, "1,٣,2", "'٣'"),
+        (textio.parse_composition, "٣", "'٣'"),
+        (textio.parse_partition, "2,١", "'١'"),
+        (textio.parse_diagram, "٣", "'٣'"),
+        (textio.parse_rational, "٣", "'٣'"),
+        (textio.parse_rational, "1/٣", "'1/٣'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(token)):
+            parse(text)
+
+
 def test_diagram_round_trip():
     for n in range(1, 6):
         for d in connected_diagrams(n):
