@@ -161,8 +161,8 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
         raise ValueError("diagram must be connected")
     if sigma.size != d.size:
         raise ValueError(f"labeling size {sigma.size} differs from diagram size {d.size}")
-    entry = _entry(d)
-    src = entry.expansion
+    src = source_skew_schur(d)
+    entry = _entry(d, src)
     return SameDiagramVerdict(
         equal=src.relabels_to(sigma.images, src),
         blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(entry.atoms)),
@@ -178,8 +178,9 @@ def count_equivalent(d: SkewDiagram) -> int:
     partner = _rotation_partner(d)
     if not d.is_connected() or partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    first = _entry(d)
-    return sum(1 for _ in _observed(first, _entry(partner))) * _young_order(first.cells)
+    first = _entry(d, source_skew_schur(d))
+    second = _entry(partner, source_skew_schur(partner))
+    return sum(1 for _ in _observed(first, second)) * _young_order(first.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +311,26 @@ class _Entry:
     partner: SkewDiagram | None
 
 
-def _entry(d: SkewDiagram) -> _Entry:
-    """E_D comes from one pass over the Jacobi-Trudi walk of d, through
-    _jacobi_trudi, which fills the term dict as it walks and sums a key
-    met twice; source_skew_schur's cache is left alone, as each sweep
-    builds every diagram's entry once.  Everything else reads the distinct
-    keys.  The row-blocks key is looked up, and one Counter goes over the
-    keys, counting how many hold each distinct block.  A point's colour
-    adds up those counts over the blocks holding it, and the atoms are the
-    intervals between consecutive block ends: the keys are interval set
-    partitions, so there are at most n(n + 1)/2 distinct blocks, however
-    many keys there are.  Each cell takes the colour of its first point,
-    which its other points share.
+def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
+    """src is E_D when the caller holds it: same_diagram_verdict and
+    count_equivalent pass source_skew_schur's cached expansion, as they are
+    called again and again on one diagram.  The sweep's table leaves it out,
+    and E_D comes from _jacobi_trudi, the uncached builder that
+    source_skew_schur wraps, as each sweep builds every diagram's entry once
+    and the cache would only be filled, never read.  Everything else reads
+    the distinct keys.  The row-blocks key is looked up, and one Counter
+    goes over the keys, counting how many hold each distinct block.  A
+    point's colour adds up those counts over the blocks holding it, and the
+    atoms are the intervals between consecutive block ends: the keys are
+    interval set partitions, so there are at most n(n + 1)/2 distinct
+    blocks, however many keys there are.  Each cell takes the colour of its
+    first point, which its other points share.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
     sweep's quotient by the cells, under which condition 3 and the
     predicted sets must stay constant, rests on that key."""
-    src = _jacobi_trudi(d)
+    if src is None:
+        src = _jacobi_trudi(d)
     rows = interval_blocks(d.row_lengths().parts)
     if rows not in src._terms:
         raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")

@@ -26,6 +26,17 @@ from .textio import ParseError
 VERIFY_CAP = 11
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII text only: int() also reads digits such as "٣",
+    which textio refuses.  Any failure keeps argparse's message for int."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _print_expansion(e, machine: bool) -> None:
     if machine:
         for line in textio.machine_lines(e):
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="k-row overlap composition and partition")
     p.add_argument("diagram")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_ascii_int)
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("rho", help="let the variables of a labeled expansion commute")
@@ -183,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("verify", help="exhaustively confront predicate and oracle at size n")
-    p.add_argument("n", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("n", type=_ascii_int)
+    p.add_argument("--jobs", type=_ascii_int, default=1)
     p.add_argument(
         "--force",
         action="store_true",

@@ -135,20 +135,16 @@ class SkewDiagram:
         if any(l == m for l, m in zip(lam, padded)):
             raise ValueError(f"shape {lam!r}/{mu!r} has an empty row")
         offset = padded[-1]
-        if type(self.outer) is Partition and type(self.inner) is Partition:
-            # Both are valid, so each row is longer than the offset and the
-            # shifted parts are partitions again: no second validation.
-            if offset:
-                outer = Partition._trusted(tuple(l - offset for l in lam))
-                inner = Partition._trusted(tuple(m - offset for m in mu if m > offset))
-                object.__setattr__(self, "outer", outer)
-                object.__setattr__(self, "inner", inner)
-            return
+        # Shifting two valid partitions by the offset, which every row
+        # exceeds, gives partitions again, so only other inputs (a
+        # Composition, say) are validated here.
+        valid = type(self.outer) is Partition and type(self.inner) is Partition
+        make = Partition._trusted if valid else Partition
         if offset:
             lam = tuple(l - offset for l in lam)
             padded = tuple(m - offset for m in padded)
-        object.__setattr__(self, "outer", Partition(lam))
-        object.__setattr__(self, "inner", Partition(tuple(m for m in padded if m)))
+        object.__setattr__(self, "outer", make(lam))
+        object.__setattr__(self, "inner", make(tuple(m for m in padded if m)))
 
     @property
     def size(self) -> int:

@@ -111,24 +111,15 @@ def _jacobi_trudi(d: SkewDiagram) -> NCExpansion:
     partition with consecutive block sizes A[1, w(1)], ..., A[ell, w(ell)]
     (zeros vanish), divided by the product of the factorials of those
     subscripts.  Terms with the same nonzero subscripts share one cached
-    key and coefficient (_composition_term).  The term dict is filled in
-    walk order as the walk goes; a key met twice, which no connected
-    diagram with n <= 12 has, is summed in place and dropped if it sums to
-    zero.  More than EXPANSION_TERM_CAP terms raise ValueError.
+    key and coefficient (_composition_term); equal keys are still summed,
+    which no connected diagram with n <= 12 needs, and a key summing to
+    zero is dropped.  More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    terms: dict[Blocks, Fraction] = {}
-    summed = False
-    for subs, sign in d.jt_subscripts().surviving_terms():
-        blocks, plus, minus = _composition_term(tuple(filter(None, subs)))
-        coeff = plus if sign > 0 else minus
-        if blocks in terms:
-            summed = True
-            coeff += terms[blocks]
-        terms[blocks] = coeff
-    e = object.__new__(NCExpansion)
-    # Each coefficient is a nonzero Fraction; only a summed one can be zero.
-    e._terms = {raw: coeff for raw, coeff in terms.items() if coeff} if summed else terms
-    return e
+    walk = d.jt_subscripts().surviving_terms()
+    terms = ((_composition_term(tuple(filter(None, subs))), sign) for subs, sign in walk)
+    return NCExpansion._from_raw(
+        (blocks, plus if sign > 0 else minus) for (blocks, plus, minus), sign in terms
+    )
 
 
 @lru_cache(maxsize=1024)

@@ -36,15 +36,28 @@ def _exact(coeff: object) -> Fraction:
 
 def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction]:
     """Sum the coefficients of equal raw keys and drop zeros, keeping the
-    order in which the keys first appear."""
+    order in which the keys first appear.
+
+    A set partition key is a tuple of tuples, whose hash is recomputed at
+    every lookup and costs more than the rest of the merge.  So a key is
+    hashed once unless it repeats (setdefault, then a length check), zeros
+    are deleted in place, and the dict is copied only to turn coefficients
+    that are not Fractions, such as skew_schur's int signs, into
+    Fractions."""
     data: dict[tuple, Coefficient] = {}
     for raw, coeff in pairs:
-        data[raw] = data[raw] + coeff if raw in data else coeff
-    return {
-        raw: coeff if type(coeff) is Fraction else Fraction(coeff)
-        for raw, coeff in data.items()
-        if coeff
-    }
+        size = len(data)
+        held = data.setdefault(raw, coeff)
+        if len(data) == size:  # raw was met before
+            data[raw] = held + coeff
+    for raw in [raw for raw, coeff in data.items() if not coeff]:
+        del data[raw]
+    if not {Fraction}.issuperset(map(type, data.values())):
+        return {
+            raw: coeff if type(coeff) is Fraction else Fraction(coeff)
+            for raw, coeff in data.items()
+        }
+    return data
 
 
 class Expansion:

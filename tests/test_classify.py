@@ -161,6 +161,23 @@ def test_count_equivalent_rejects_bad_input():
         count_equivalent(SkewDiagram(Partition((2, 2))))  # not a ribbon
 
 
+def test_the_public_verdicts_read_the_expansion_cache(monkeypatch):
+    """same_diagram_verdict and count_equivalent are called again and again
+    on one diagram, so they take E_D from source_skew_schur's cache; only
+    the sweep's table expands afresh through _jacobi_trudi."""
+
+    def no_fresh_walk(d):
+        raise AssertionError(f"{d} expanded afresh")
+
+    monkeypatch.setattr(classify, "_jacobi_trudi", no_fresh_walk)
+    source_skew_schur.cache_clear()
+    for sigma in symmetric_group(3):
+        same_diagram_verdict(sigma, HOOK)
+    assert count_equivalent(HOOK) == 2
+    info = source_skew_schur.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+
 def test_same_diagram_identity():
     for n in range(1, 5):
         for d in connected_diagrams(n):

@@ -180,6 +180,21 @@ def test_non_ascii_digits_exit_with_a_parse_error(capsys):
     assert err == "error: not a permutation: '²1'\n"
 
 
+def test_non_ascii_digits_are_not_counts(capsys):
+    """int() reads "٣" as 3, but the counts of verify and overlap take the
+    ASCII digits only, with argparse's message for a bad int: exit code 2,
+    nothing run.  ASCII text int() refuses keeps that same message."""
+    for args, name, token in (
+        (("verify", "٣"), "n", "٣"),
+        (("verify", "3", "--jobs", "٢"), "--jobs", "٢"),
+        (("overlap", "2,1", "١"), "k", "١"),
+        (("verify", "three"), "n", "three"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err.endswith(f"error: argument {name}: invalid int value: '{token}'\n"), err
+
+
 def test_consecutive_calls_share_no_state(capsys):
     # the parser is built once; one call's options must not reach the next
     code, out, _ = run(capsys, "expand-nc", "--source", "2,1")

@@ -10,6 +10,7 @@ from ncskew.sym import (
     overlap_partitions,
     overlap_partitions_agree,
     ribbon_schur,
+    _collect,
     skew_schur,
 )
 
@@ -25,6 +26,23 @@ def test_expansion_shell():
     assert zero.degree is None
     assert list(zero.items()) == []
     assert e + zero == e
+
+
+def test_collect_sums_drops_zeros_and_keeps_first_appearance():
+    """Every expansion builder merges through _collect, which deletes zeros
+    in place and copies only to make Fractions of other coefficients: a
+    repeated key is summed at its first place, a zero, given or summed, is
+    dropped, and every coefficient comes out a Fraction."""
+    half = Fraction(1, 2)
+    pairs = [((2, 1), 1), ((3,), half), ((2, 1), -1), ((1, 1, 1), 0), ((3,), 2), ((2, 1), 3)]
+    got = _collect(pairs)
+    assert list(got.items()) == [((2, 1), 3), ((3,), Fraction(5, 2))]
+    assert all(type(coeff) is Fraction for coeff in got.values())
+    got = _collect([((3,), half), ((2, 1), Fraction(1)), ((3,), -half), ((1, 1, 1), Fraction(0))])
+    assert list(got.items()) == [((2, 1), 1)]
+    assert _collect([((1,), 0)]) == {} and _collect([]) == {}
+    assert not h(Partition((2, 1))).scaled(0)
+    assert not SymExpansion({Partition((2, 1)): 0})
 
 
 def test_mixed_degrees_rejected():
