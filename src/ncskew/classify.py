@@ -19,8 +19,7 @@ once, both sides being false for every sigma.  That this filter skips
 every pair the overlap condition of Reiner, Shaw and van Willigenburg
 would is observed, not proved: for every n <= 12 each fingerprint is held
 by one diagram or by a nonsymmetric ribbon and its rotation, whose overlap
-partitions agree (the tests check this).  The `prune` argument of
-`verify_exhaustive` has no effect.
+partitions agree (the tests check this).
 
 The sweep also works modulo the Young subgroup Y of the atoms: the points
 grouped by the blocks of the source expansion's keys that contain them.
@@ -51,13 +50,9 @@ sigma Y.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
-from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from typing import Iterator
 
 from .diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams
@@ -398,16 +393,13 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
             yield candidate
 
 
-def _verify_rows(
-    entries: tuple[_Entry, ...], rows: tuple[int, ...]
-) -> tuple[int, list[Disagreement]]:
-    """Sweep the pairs of entries, the table of one size, whose first
-    diagram is in rows; return same_diagram_equal over them and the
-    disagreements found.  verify_exhaustive works out the other counters of
-    the report.
+def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
+    """Sweep every pair of entries, the table of one size; return
+    same_diagram_equal and the disagreements found, sorted by pair index
+    and labeling.  verify_exhaustive works out the other counters of the
+    report.
 
-    Every pair takes one path, whatever verify_exhaustive's prune says.  A
-    distinct pair that fails conditions 1 and 2 and whose fingerprints
+    A distinct pair that fails conditions 1 and 2 and whose fingerprints
     differ has no observed sigma and no predicted one, so all its labelings
     agree: the table is grouped by fingerprint once, and each row visits
     only itself, its bucket mates and its rotation partner, whatever the
@@ -440,8 +432,7 @@ def _verify_rows(
         buckets.setdefault(entry.fingerprint, []).append(k)
     same_equal = 0
     disagreements: list[Disagreement] = []
-    for i in rows:
-        first = entries[i]
+    for i, first in enumerate(entries):
         rotation = index.get(first.partner)
         for j in sorted({i, *buckets[first.fingerprint], rotation} - {None}):
             observed = set(_observed(first, entries[j]))
@@ -460,34 +451,7 @@ def _verify_rows(
                     Disagreement(i * count + j, i, j, sigma, hit, not hit)
                     for sigma in _coset(images, first.cells)
                 )
-    return same_equal, disagreements
-
-
-# Workers are forked where the platform can, which hands them the parent's
-# table unpickled; under spawn it is pickled, not rebuilt.  ncskew starts no
-# threads, so no lock is held by another thread when it forks.
-_CONTEXT = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-)
-
-
-def _send_rows(send: Connection, entries: tuple[_Entry, ...], rows: tuple[int, ...]) -> None:
-    """A worker's body: send back what _verify_rows returns for its rows,
-    an int and the disagreements, which the parent adds to its own.  If it
-    raises, the worker prints the traceback and exits without sending."""
-    send.send(_verify_rows(entries, rows))
-
-
-def _start_worker(
-    entries: tuple[_Entry, ...], rows: tuple[int, ...]
-) -> tuple[BaseProcess, Connection]:
-    """Start a worker process sweeping rows of entries; return it and the
-    receiving end of its pipe, whose sending end only the worker holds."""
-    receive, send = _CONTEXT.Pipe(duplex=False)
-    process = _CONTEXT.Process(target=_send_rows, args=(send, entries, rows), daemon=True)
-    process.start()
-    send.close()
-    return process, receive
+    return same_equal, sorted(disagreements, key=lambda d: (d.pair_index, d.labeling))
 
 
 def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> VerificationReport:
@@ -504,9 +468,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     _verify_rows); every other sigma agrees, both sides being false.  A
     pair that fails conditions 1 and 2 and whose fingerprints, the shapes
     of their (size, colour) cell classes, differ is decided whole, in one
-    step, on every run.  prune has no effect: the fingerprint filter skips
-    every pair that the overlap condition once pruned, as checked for
-    n <= 12.  For c diagrams there are c(c - 1) pairs,
+    step, on every run.  For c diagrams there are c(c - 1) pairs,
     c^2 n! coset checks and c n! same-diagram checks, and the agreements
     are the coset checks less the disagreements.  The sigma meeting the
     same-diagram block condition map each atom onto itself, so there are
@@ -517,10 +479,15 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     before any diagram is enumerated: 2^(n - 1) > cap exactly when n - 1
     is at least the cap's bit length, and no power is computed.
 
-    The rows are dealt round robin into min(jobs, os.cpu_count()) chunks;
-    this process sweeps the first and a worker process each other one.  A
-    worker that raises or dies makes this call raise RuntimeError, and on
-    the way out of this call every worker is stopped and reaped.
+    jobs and prune are accepted so that callers passing them keep working,
+    and have no effect: jobs < 1 raises ValueError, and otherwise the whole
+    sweep runs in this process, on one code path.  A worker process could
+    take half the rows but none of the serial table build; on a 2-vCPU VM
+    it saved between nothing and about a seventh of the wall time of
+    verify 11 and 12, as the host's load allowed, at twice the peak RSS,
+    and cost more than it saved at n = 7.  The fingerprint filter skips
+    every pair that the overlap condition once pruned, as checked for
+    n <= 12, so prune has nothing left to skip.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -533,31 +500,7 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         )
     entries = tuple(_entry(d) for d in connected_diagrams(n))
     count = len(entries)
-    rows = tuple(range(count))
-    jobs = min(jobs, os.cpu_count() or 1)
-    chunks = [rows[k::jobs] for k in range(jobs) if rows[k::jobs]]
-    workers: list[tuple[BaseProcess, Connection]] = []
-    try:
-        for chunk in chunks[1:]:
-            workers.append(_start_worker(entries, chunk))
-        partials = [_verify_rows(entries, chunks[0])]
-        for process, receive in workers:
-            try:
-                partials.append(receive.recv())
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"a sweep worker exited with code {process.exitcode} before reporting"
-                ) from None
-    finally:
-        for process, receive in workers:
-            receive.close()
-            process.terminate()
-            process.join()
-    equal, found = zip(*partials)
-    disagreements = sorted(
-        (d for part in found for d in part), key=lambda d: (d.pair_index, d.labeling)
-    )
+    same_equal, disagreements = _verify_rows(entries)
     checks = count * count * factorial(n)
     return VerificationReport(
         size=n,
@@ -567,6 +510,6 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
         agreements=checks - len(disagreements),
         disagreements=tuple(disagreements),
         same_diagram_checks=count * factorial(n),
-        same_diagram_equal=sum(equal),
+        same_diagram_equal=same_equal,
         same_diagram_condition=sum(_young_order(entry.atoms) for entry in entries),
     )

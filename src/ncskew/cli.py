@@ -3,8 +3,7 @@
 Exit codes: 0 for success (including NOT-EQUAL verdicts and passing
 verification runs), 1 for domain errors (invalid shapes, size mismatches,
 disconnected input, failed verification) and for a sweep that could not
-finish (a failed worker, an expansion without its row-blocks key), 2 for
-parse errors.
+finish (an expansion without its row-blocks key), 2 for parse errors.
 """
 
 from __future__ import annotations
@@ -195,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively confront predicate and oracle at size n")
     p.add_argument("n", type=_ascii_int)
-    p.add_argument("--jobs", type=_ascii_int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=_ascii_int,
+        default=1,
+        help="accepted for compatibility and has no effect; the sweep runs in one process",
+    )
     p.add_argument(
         "--force",
         action="store_true",

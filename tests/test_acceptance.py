@@ -208,7 +208,7 @@ def test_criterion_6_exhaustive_verification():
 
 @pytest.mark.slow
 def test_criterion_6_exhaustive_verification_size_6():
-    report = classify.verify_exhaustive(6, jobs=4)
+    report = classify.verify_exhaustive(6)
     ok = report.ok and not report.disagreements
     assert _report(6, ok, "n=6")
 

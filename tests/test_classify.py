@@ -1,11 +1,7 @@
-import contextlib
 import dataclasses
 import gc
 import itertools
 import math
-import multiprocessing
-import os
-import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -260,60 +256,27 @@ def test_verify_small_counters():
     assert (three.same_diagram_equal, three.same_diagram_condition) == (12, 11)
 
 
-@pytest.fixture
-def started_workers(monkeypatch):
-    """The processes verify_exhaustive starts, with the core count pinned to
-    2 so that jobs=2 starts one worker whatever the host's count."""
-    start_worker = classify._start_worker
-    started = []
-
-    def recording_start_worker(*args):
-        worker = start_worker(*args)
-        started.append(worker[0])
-        return worker
-
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(classify, "_start_worker", recording_start_worker)
-    return started
-
-
-def test_verify_prune_and_jobs_change_nothing(monkeypatch, started_workers):
-    """prune and jobs leave the report alone, with the worker forked and
-    with it spawned, which pickles the table to it."""
+def test_verify_prune_and_jobs_change_nothing(monkeypatch):
+    """jobs and prune are validated and otherwise ignored: every jobs and
+    prune give the jobs=1 report, with no process forked or started."""
     base = verify_exhaustive(4)
-    assert verify_exhaustive(4, prune=True) == base
-    started = started_workers
-    for context in (classify._CONTEXT, multiprocessing.get_context("spawn")):
-        monkeypatch.setattr(classify, "_CONTEXT", context)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr("os.fork", no_process)
+    monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_process)
+    for jobs in (1, 2, 64):
         for prune in (False, True):
-            started.clear()
-            with _fails_after(60):
-                report = verify_exhaustive(4, jobs=2, prune=prune)
-            assert report == base, (context, prune)
-            assert len(started) == 1 and isinstance(started[0], context.Process)
-            assert started[0].exitcode is not None
-
-
-def test_verify_caps_the_workers_at_the_cores(monkeypatch):
-    """jobs beyond os.cpu_count() start no more workers; with one core the
-    sweep runs in this process and the report is unchanged."""
-    base = verify_exhaustive(4)
-
-    def no_worker(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(classify, "_start_worker", no_worker)
-    assert verify_exhaustive(4, jobs=64) == base
+            assert verify_exhaustive(4, jobs, prune) == base, (jobs, prune)
 
 
 def test_no_entry_outlives_the_sweep():
     """verify_exhaustive builds its table per call, so no _Entry is left
-    alive once it returns, whether or not a worker process swept beside it."""
-    for jobs in (1, 2):
-        verify_exhaustive(6, jobs)
-        gc.collect()
-        assert sum(isinstance(o, classify._Entry) for o in gc.get_objects()) == 0, jobs
+    alive once it returns."""
+    verify_exhaustive(6)
+    gc.collect()
+    assert sum(isinstance(o, classify._Entry) for o in gc.get_objects()) == 0
 
 
 def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
@@ -632,9 +595,8 @@ def _per_coset(n):
 def test_kernel_matches_the_labeling_scan():
     for n in range(1, 6):
         scan = _scan(n)
-        for jobs in (1, 2):
-            for prune in (False, True):
-                assert verify_exhaustive(n, jobs, prune) == scan, (n, jobs, prune)
+        for prune in (False, True):
+            assert verify_exhaustive(n, prune=prune) == scan, (n, prune)
 
 
 def test_kernel_matches_the_per_coset_kernel():
@@ -779,50 +741,6 @@ def test_entry_matches_the_reference_entry():
             got, want = classify._entry(d), _reference_entry(d)
             for field in dataclasses.fields(classify._Entry):
                 assert getattr(got, field.name) == getattr(want, field.name), (d, field.name)
-
-
-@contextlib.contextmanager
-def _fails_after(seconds):
-    """Raise in this process if the block runs longer than seconds."""
-
-    def hung(*_):
-        raise AssertionError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_a_failing_worker_makes_the_sweep_raise(monkeypatch, started_workers):
-    """A worker whose sweep raises, or which dies, makes verify_exhaustive
-    raise at once instead of waiting, and every worker is reaped by the
-    time it returns.  Only the chunks without row 0 fail: this process
-    sweeps the chunk with row 0, so the failure is a worker's."""
-    verify_rows = classify._verify_rows
-    started = started_workers
-
-    def raising(entries, rows):
-        if 0 not in rows:
-            raise ValueError("a failing worker")
-        return verify_rows(entries, rows)
-
-    def dying(entries, rows):
-        if 0 not in rows:
-            os._exit(3)
-        return verify_rows(entries, rows)
-
-    for fault, code in ((raising, 1), (dying, 3)):
-        started.clear()
-        monkeypatch.setattr(classify, "_verify_rows", fault)
-        with _fails_after(60), pytest.raises(RuntimeError, match=f"exited with code {code}"):
-            verify_exhaustive(5, jobs=2)
-        assert len(started) == 1
-        assert all(process.exitcode is not None for process in started)
-        assert multiprocessing.active_children() == []
 
 
 def _colours(expansion, n):
@@ -1019,8 +937,7 @@ def test_false_atoms_leave_the_quotient_alone(monkeypatch):
         scan = _scan(n, atoms=lambda d: classify.interval_blocks(d.row_lengths().parts))
         assert any(d.first == d.second for d in scan.disagreements)
         assert _per_coset(n) == scan
-        for jobs in (1, 2):
-            assert verify_exhaustive(n, jobs) == scan, (n, jobs)
+        assert verify_exhaustive(n) == scan, n
 
 
 def test_kernel_matches_the_scan_on_a_wrong_predicate(monkeypatch):
@@ -1099,7 +1016,7 @@ def test_verify_nine_counters():
 
 @pytest.mark.slow
 def test_verify_ten_counters():
-    report = verify_exhaustive(10, jobs=2)
+    report = verify_exhaustive(10)
     count, pairs = 1285, 1649940
     assert pairs == count * (count - 1)
     assert (report.diagram_count, report.pair_count) == (count, pairs)

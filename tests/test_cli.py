@@ -104,6 +104,16 @@ def test_verify(capsys):
     assert lines[-1] == "PASS"
 
 
+def test_verify_jobs_is_validated_and_changes_nothing(capsys):
+    """--jobs is accepted for compatibility: verify 4 --jobs 2 prints the
+    bytes verify 4 does, and --jobs 0 is refused with one error line and
+    exit code 1, before any output."""
+    plain = run(capsys, "verify", "4")
+    assert plain[0] == 0 and plain[1].endswith("PASS\n")
+    assert run(capsys, "verify", "4", "--jobs", "2") == plain
+    assert run(capsys, "verify", "3", "--jobs", "0") == (1, "", "error: jobs must be >= 1\n")
+
+
 def test_verify_cap(capsys, monkeypatch):
     """verify above the default cap needs --force, and verify 30 --force,
     whose 30-cell column exceeds the expansion term cap, is refused before
