@@ -10,10 +10,9 @@ ordered pair of distinct connected diagrams of a given size and every
 labeling coset representative.
 
 The sweep filters and matches with one invariant, the colour lemma below:
-a sigma with act(sigma, E_D) == E_T maps each cell of D onto a cell of T
-of the same size and colour.  So the two diagrams' cells, grouped into
-classes by (size, colour), must agree class by class in key and number,
-and a diagram's fingerprint is that shape.  The sweep counts a pair that
+for any sigma to relabel E_D onto E_T, the two diagrams' cells, grouped
+into classes by (size, colour), must agree class by class in key and
+number, and a diagram's fingerprint is that shape.  The sweep counts a pair that
 fails conditions 1 and 2 and whose fingerprints differ as n! agreements at
 once, both sides being false for every sigma.  That this filter skips
 every pair the overlap condition of Reiner, Shaw and van Willigenburg
@@ -479,15 +478,8 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     before any diagram is enumerated: 2^(n - 1) > cap exactly when n - 1
     is at least the cap's bit length, and no power is computed.
 
-    jobs and prune are accepted so that callers passing them keep working,
-    and have no effect: jobs < 1 raises ValueError, and otherwise the whole
-    sweep runs in this process, on one code path.  A worker process could
-    take half the rows but none of the serial table build; on a 2-vCPU VM
-    it saved between nothing and about a seventh of the wall time of
-    verify 11 and 12, as the host's load allowed, at twice the peak RSS,
-    and cost more than it saved at n = 7.  The fingerprint filter skips
-    every pair that the overlap condition once pruned, as checked for
-    n <= 12, so prune has nothing left to skip.
+    jobs and prune have no effect (jobs < 1 still raises ValueError), and
+    stay only while perfbench/measure.py passes them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

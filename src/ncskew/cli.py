@@ -18,10 +18,10 @@ from .ncsym import to_commutative
 from .permutations import Permutation
 from .textio import ParseError
 
-# The largest n whose `verify` surely finishes within 10 s with jobs 1 on a
-# 2-vCPU VM with Python 3.11: there, through the CLI, verify 11 took 1.6-2.1 s
-# and verify 12 4.9-5.8 s (peak RSS 69 MB), and that host's speed swings by
-# up to 2x, which can put verify 12 over 10 s.
+# The largest n that `verify` runs without --force.  On a 2-vCPU VM with
+# Python 3.11, in one run through the CLI, verify 11 took 1.0 s and verify 12
+# 3.2 s (peak RSS 67 MB); each further cell takes about three times as long,
+# and that host's speed swings by up to 2x.
 VERIFY_CAP = 11
 
 
@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
     n = args.n
     if n > VERIFY_CAP and not args.force:
         raise ValueError(f"n={n} exceeds the default cap of {VERIFY_CAP}; pass --force to run it")
-    report = classify.verify_exhaustive(n, jobs=args.jobs)
+    report = classify.verify_exhaustive(n)
     print(
         f"size {report.size}: {report.diagram_count} diagrams, "
         f"{report.pair_count} ordered pairs, {report.coset_checks} coset checks, "
@@ -194,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively confront predicate and oracle at size n")
     p.add_argument("n", type=_ascii_int)
-    p.add_argument(
-        "--jobs",
-        type=_ascii_int,
-        default=1,
-        help="accepted for compatibility and has no effect; the sweep runs in one process",
-    )
     p.add_argument(
         "--force",
         action="store_true",

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from ncskew import classify
+from ncskew import classify, sym
 from ncskew.cli import main
+from ncskew.compositions import Partition
 from ncskew.ncsym import h
 from ncskew.setpartitions import SetPartition
 
@@ -89,6 +90,18 @@ def test_rho(capsys):
     code, out, _ = run(capsys, "rho", "321", "2,2/1")
     assert code == 0
     assert out == "h[2,1] - h[3]\nMATCHES commutative: yes\n"
+    code, out, _ = run(capsys, "rho", "321", "2,2/1", "--format", "machine")
+    assert code == 0
+    assert out == "1\t2,1\n-1\t3\nMATCHES commutative: yes\n"
+
+
+def test_rho_reports_a_mismatch(capsys, monkeypatch):
+    """When the commutative image differs from sym.skew_schur, rho says so
+    and exits 1."""
+    monkeypatch.setattr(sym, "skew_schur", lambda d: sym.h(Partition((d.size,))))
+    code, out, err = run(capsys, "rho", "321", "2,2/1")
+    assert (code, err) == (1, "")
+    assert out == "h[2,1] - h[3]\nMATCHES commutative: no\n"
 
 
 def test_show(capsys):
@@ -104,14 +117,13 @@ def test_verify(capsys):
     assert lines[-1] == "PASS"
 
 
-def test_verify_jobs_is_validated_and_changes_nothing(capsys):
-    """--jobs is accepted for compatibility: verify 4 --jobs 2 prints the
-    bytes verify 4 does, and --jobs 0 is refused with one error line and
-    exit code 1, before any output."""
-    plain = run(capsys, "verify", "4")
-    assert plain[0] == 0 and plain[1].endswith("PASS\n")
-    assert run(capsys, "verify", "4", "--jobs", "2") == plain
-    assert run(capsys, "verify", "3", "--jobs", "0") == (1, "", "error: jobs must be >= 1\n")
+def test_verify_has_no_jobs_flag(capsys):
+    """verify runs in one process and takes no --jobs: argparse refuses it
+    as it refuses any unknown flag, with exit code 2 and nothing run."""
+    for n, jobs in (("4", "2"), ("3", "0")):
+        code, out, err = run(capsys, "verify", n, "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"ncskew: error: unrecognized arguments: --jobs {jobs}\n"), err
 
 
 def test_verify_cap(capsys, monkeypatch):
@@ -174,6 +186,13 @@ def test_exit_codes(capsys):
     # labeling of the wrong size
     code, _, _ = run(capsys, "expand-nc", "12", "2,1")
     assert code == 1
+    # expand-nc argument counts
+    code, out, err = run(capsys, "expand-nc", "--source", "2,1", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: --source takes exactly one argument: the diagram\n"
+    code, out, err = run(capsys, "expand-nc", "2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a permutation and a diagram\n"
     # argparse rejects the unknown command with its own exit
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
@@ -196,7 +215,6 @@ def test_non_ascii_digits_are_not_counts(capsys):
     nothing run.  ASCII text int() refuses keeps that same message."""
     for args, name, token in (
         (("verify", "٣"), "n", "٣"),
-        (("verify", "3", "--jobs", "٢"), "--jobs", "٢"),
         (("overlap", "2,1", "١"), "k", "١"),
         (("verify", "three"), "n", "three"),
     ):
