@@ -10,7 +10,7 @@ ordered pair of distinct connected diagrams of a given size and every
 labeling coset representative.
 
 The sweep filters and matches with one invariant, the colour lemma below:
-for any sigma to relabel E_D onto E_T, the two diagrams' cells, grouped
+for any sigma to relabel E_D onto E_T, the two diagrams' atoms, grouped
 into classes by (size, colour), must agree class by class in key and
 number, and a diagram's fingerprint is that shape.  The sweep counts a pair that
 fails conditions 1 and 2 and whose fingerprints differ as n! agreements at
@@ -32,18 +32,17 @@ construction (see _Entry), and the fact the second rests on, that the row
 blocks are a key of the source expansion, is checked for every diagram.
 
 The sweep finds every sigma with act(sigma, E_D) == E_T by matching
-cells, one round of the colour refinement that starts partition backtrack
+atoms, one round of the colour refinement that starts partition backtrack
 (McKay and Piperno, "Practical graph isomorphism II", 2014).  The colour
 of a point x under E_D is (c_1, ..., c_n), c_k the number of keys of E_D
 whose block holding x has k points.  Lemma: if act(sigma, E_D) == E_T then
-sigma maps each cell of D onto a cell of T of the same size and colour.
+sigma maps each atom of D onto an atom of T of the same size and colour.
 For sigma maps the keys of E_D one to one onto those of E_T, and the block
 of a key holding x onto the block of its image holding sigma(x), of the
 same size.  So x and y share every key block exactly when sigma(x) and
-sigma(y) do, which maps the cells, the atoms, onto atoms, and sigma keeps
-colours.  Points of one cell lie in the same blocks, so a cell has one
-colour, and matching same-colour cells keeps or drops whole cosets
-sigma Y.
+sigma(y) do, which maps atoms onto atoms, and sigma keeps colours.  Points
+of one atom lie in the same blocks, so an atom has one colour, and matching
+same-colour atoms keeps or drops whole cosets sigma Y.
 """
 
 from __future__ import annotations
@@ -168,13 +167,13 @@ def count_equivalent(d: SkewDiagram) -> int:
     rotation of d.  Only defined for connected nonsymmetric ribbons; the
     classification says the answer is the factorial product of the row
     lengths.  _observed yields one sigma per right coset of the Young
-    subgroup of d's cells, so the count is theirs times its order."""
+    subgroup of d's atoms, so the count is theirs times its order."""
     partner = _rotation_partner(d)
     if not d.is_connected() or partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
     first = _entry(d, source_skew_schur(d))
     second = _entry(partner, source_skew_schur(partner))
-    return sum(1 for _ in _observed(first, second)) * _young_order(first.cells)
+    return sum(1 for _ in _observed(first, second)) * _young_order(first.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +184,9 @@ def count_equivalent(d: SkewDiagram) -> int:
 class Disagreement:
     """One (diagram pair, labeling) where predicate and oracle differ.
 
-    pair_index is first * diagram_count + second in enumeration order; for
-    same-diagram rows (first == second) `predicted` is the sufficient block
-    condition instead of the three-part predicate."""
+    pair_index is first * diagram_count + second in enumeration order.
+    Only distinct pairs are reported, as a same-diagram row has nothing to
+    report (see _verify_rows)."""
 
     pair_index: int
     first: int
@@ -216,7 +215,7 @@ class VerificationReport:
         return not self.disagreements
 
 
-# A cell class's key: the size of its cells and the colour of their points.
+# An atom class's key: the size of its atoms and the colour of their points.
 ClassKey = tuple[int, tuple[int, ...]]
 
 
@@ -237,17 +236,17 @@ def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int
             yield (chosen,) + tail
 
 
-def _representatives(blocks: Blocks, targets: Blocks, cells: Blocks) -> set[tuple[int, ...]]:
+def _representatives(blocks: Blocks, targets: Blocks, atoms: Blocks) -> set[tuple[int, ...]]:
     """The sigma mapping each block onto its target, one per right coset of
-    the Young subgroup of the cells, which refine the blocks: the sigma
-    increasing on every cell.  A block's pieces are the cells whose first
-    point lies in it, which are the cells inside it, as the cells refine
+    the Young subgroup of the atoms, which refine the blocks: the sigma
+    increasing on every atom.  A block's pieces are the atoms whose first
+    point lies in it, which are the atoms inside it, as the atoms refine
     every block the sweep and _coset hand in.  Each block's target is
     dealt over its pieces by _spread, and the product over the blocks is
     taken; the targets are disjoint, so no target is taken twice."""
     flat = itertools.chain.from_iterable
-    cell_at = {cell[0]: cell for cell in cells}
-    pieces = [[cell_at[x] for x in block if x in cell_at] for block in blocks]
+    atom_at = {atom[0]: atom for atom in atoms}
+    pieces = [[atom_at[x] for x in block if x in atom_at] for block in blocks]
     points = list(flat(flat(pieces)))
     found = set()
     images = [0] * len(points)
@@ -269,30 +268,27 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
 class _Entry:
     """What the sweep needs of one diagram.
 
-    partner is _rotation_partner of the diagram, and atoms give the
-    same-diagram block condition: 1..n grouped by the key blocks that
-    contain each point.  Every key is an interval set partition (see
-    ncsym._jacobi_trudi), so the atoms are intervals, and x and x + 1 share
-    every block exactly when no key block ends at x.  The sigma mapping
-    each atom onto itself, the Young subgroup of the atoms, are exactly
-    those preserving every block of every key.
+    partner is _rotation_partner of the diagram, and atoms are 1..n grouped
+    by the key blocks that contain each point.  Every key is an interval set
+    partition (see ncsym._jacobi_trudi), so the atoms are intervals, and x
+    and x + 1 share every block exactly when no key block ends at x.  The
+    sigma mapping each atom onto itself, the Young subgroup Y of the atoms,
+    are exactly those preserving every block of every key: the same-diagram
+    block condition, and the subgroup the sweep works modulo.
 
-    cells, whose Young subgroup Y the sweep works modulo and which _observed
-    matches, are the atoms, in a field of their own so that the quotient
-    does not follow the block condition that atoms gives.  Every key block
-    is a union of atoms, so Y fixes E_D.  The row blocks are a key of E_D,
-    with coefficient 1/prod r_i!, as the term of w has subscripts
-    A[i, w(i)] with A[i, i] = r_i > 0 and each row of A strictly
+    Every key block is a union of atoms, so Y fixes E_D.  The row blocks
+    are a key of E_D, with coefficient 1/prod r_i!, as the term of w has
+    subscripts A[i, w(i)] with A[i, i] = r_i > 0 and each row of A strictly
     increasing, so the identity is the only term whose nonzero subscripts
     are the row lengths; _entry checks that key for every diagram.  So
     every row block is a union of atoms too, Y keeps each row block, and
     condition 3 cannot tell sigma y from sigma.
 
-    classes groups the cells by their key (size, colour), sorted by key,
-    and fingerprint is that grouping's shape, ((key, number of cells), ...).
-    Relabeling keeps both up to the cells themselves (see the module
+    classes groups the atoms by their key (size, colour), sorted by key,
+    and fingerprint is that grouping's shape, ((key, number of atoms), ...).
+    Relabeling keeps both up to the atoms themselves (see the module
     docstring), so the sweep buckets the table by fingerprint and _observed
-    matches the cells class by class.
+    matches the atoms class by class.
     """
 
     diagram: SkewDiagram
@@ -300,7 +296,6 @@ class _Entry:
     fingerprint: tuple[tuple[ClassKey, int], ...]
     rows: Blocks
     atoms: Blocks
-    cells: Blocks
     classes: tuple[tuple[ClassKey, Blocks], ...]
     partner: SkewDiagram | None
 
@@ -317,11 +312,11 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
     point's colour adds up those counts over the blocks holding it, and the
     atoms are the intervals between consecutive block ends: the keys are
     interval set partitions, so there are at most n(n + 1)/2 distinct
-    blocks, however many keys there are.  Each cell takes the colour of its
+    blocks, however many keys there are.  Each atom takes the colour of its
     first point, which its other points share.
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
-    sweep's quotient by the cells, under which condition 3 and the
+    sweep's quotient by the atoms, under which condition 3 and the
     predicted sets must stay constant, rests on that key."""
     if src is None:
         src = _jacobi_trudi(d)
@@ -340,14 +335,13 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
     grouped: dict[ClassKey, list[tuple[int, ...]]] = {}
     for atom in atoms:
         grouped.setdefault((len(atom), tuple(counts[atom[0] - 1])), []).append(atom)
-    classes = tuple(sorted((key, tuple(cells)) for key, cells in grouped.items()))
+    classes = tuple(sorted((key, tuple(group)) for key, group in grouped.items()))
     return _Entry(
         diagram=d,
         expansion=src,
-        fingerprint=tuple((key, len(cells)) for key, cells in classes),
+        fingerprint=tuple((key, len(group)) for key, group in classes),
         rows=rows,
         atoms=atoms,
-        cells=atoms,
         classes=classes,
         partner=_rotation_partner(d),
     )
@@ -356,10 +350,10 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
 def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     """Every sigma with act(sigma, E_D) == E_T, for E_D and E_T the source
     expansions of first and second, one right coset sigma Y at a time, for
-    Y the Young subgroup of first's cells: each item is the images of the
-    representative increasing on every cell.
+    Y the Young subgroup of first's atoms: each item is the images of the
+    representative increasing on every atom.
 
-    Such a sigma maps each cell of first onto a cell of second of the same
+    Such a sigma maps each atom of first onto an atom of second of the same
     size and colour (see the module docstring).  So the classes of both are
     zipped, and a pair whose class keys or class sizes differ has no such
     sigma; both sides cover 1..n, so classes agreeing along the shorter
@@ -367,8 +361,8 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     as a point's colour sums to the number of keys.  Otherwise every
     bijection between matching classes gives one coset sigma Y, whose
     representative relabels_to decides.  Every key of E_D is a union of
-    cells, so Y fixes E_D, and relabels_to decides the whole coset as it
-    decides sigma.  Every other sigma moves some cell off the cells of
+    atoms, so Y fixes E_D, and relabels_to decides the whole coset as it
+    decides sigma.  Every other sigma moves some atom off the atoms of
     second or onto another colour, and fails.
 
     act(id, E_D) == E_D, so when first is second the identity passes
@@ -377,15 +371,15 @@ def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:
     classes = tuple(zip(first.classes, second.classes))
     if any(k1 != k2 or len(c1) != len(c2) for (k1, c1), (k2, c2) in classes):
         return
-    sources = [cell for (_, cells), _ in classes for cell in cells]
-    matchings = itertools.product(*(itertools.permutations(cells) for _, (_, cells) in classes))
+    sources = [atom for (_, group), _ in classes for atom in group]
+    matchings = itertools.product(*(itertools.permutations(group) for _, (_, group) in classes))
     target = second.expansion
     relabels_to = first.expansion.relabels_to
     known = tuple(range(1, first.diagram.size + 1)) if first is second else None
     images = [0] * first.diagram.size
     for matching in matchings:
-        for cell, image in zip(sources, itertools.chain.from_iterable(matching)):
-            for x, v in zip(cell, image):
+        for atom, image in zip(sources, itertools.chain.from_iterable(matching)):
+            for x, v in zip(atom, image):
                 images[x - 1] = v
         candidate = tuple(images)
         if candidate == known or relabels_to(candidate, target):
@@ -398,30 +392,31 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
     and labeling.  verify_exhaustive works out the other counters of the
     report.
 
+    A same-diagram row only counts: the sigma the oracle accepts, which
+    _observed yields, times |Y|.  It has nothing to report, as its block
+    condition holds exactly on Y and every key block is a union of atoms,
+    so Y(atoms) fixes E_D.
+
     A distinct pair that fails conditions 1 and 2 and whose fingerprints
     differ has no observed sigma and no predicted one, so all its labelings
     agree: the table is grouped by fingerprint once, and each row visits
-    only itself, its bucket mates and its rotation partner, whatever the
-    partner's bucket, so no pair meeting conditions 1 and 2 is skipped on
-    the strength of the fingerprint.  _observed yields the observed sigma,
-    and it is the only place relabels_to decides one.  _representatives
-    gives the predicted sigma: on a same-diagram pair the block
-    condition's, each atom onto itself; on a rotation pair those mapping
-    each row block onto its _row_target; on every other pair none.  The
-    disagreements are then one set expression per pair: predicted -
-    observed on a same-diagram pair, whose block condition is only
-    sufficient, and predicted ^ observed on a distinct pair, whose
-    predicate is exact.  Every other labeling agrees.
+    only its bucket mates and its rotation partner, whatever the partner's
+    bucket, so no pair meeting conditions 1 and 2 is skipped on the
+    strength of the fingerprint.  _observed yields the observed sigma, and
+    it is the only place relabels_to decides one.  _representatives gives
+    the predicted sigma: on a rotation pair those mapping each row block
+    onto its _row_target; on every other pair none.  The disagreements are
+    then predicted ^ observed, and every other labeling agrees.
 
     Both sets are unions of right cosets sigma Y, for Y the Young subgroup
-    of the first diagram's cells, one subgroup per row, and both verdicts
+    of the first diagram's atoms, one subgroup per row, and both verdicts
     are constant on each coset (see _Entry).  Each set holds one
-    representative per coset, the sigma increasing on every cell, which
+    representative per coset, the sigma increasing on every atom, which
     counts |Y| times; a disagreeing one is expanded back into its coset by
-    _coset, so the report is the one a sigma by sigma sweep gives.  Atoms
-    and row blocks are unions of cells, so both sets pick the same
-    representative of a coset, and the set algebra on representatives is
-    the set algebra on the cosets.
+    _coset, so the report is the one a sigma by sigma sweep gives.  Row
+    blocks are unions of atoms, so both sets pick the same representative
+    of a coset, and the set algebra on representatives is the set algebra
+    on the cosets.
     """
     n = entries[0].diagram.size
     count = len(entries)
@@ -432,23 +427,19 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
     same_equal = 0
     disagreements: list[Disagreement] = []
     for i, first in enumerate(entries):
+        same_equal += sum(1 for _ in _observed(first, first)) * _young_order(first.atoms)
         rotation = index.get(first.partner)
-        for j in sorted({i, *buckets[first.fingerprint], rotation} - {None}):
-            observed = set(_observed(first, entries[j]))
-            if j == i:
-                same_equal += len(observed) * _young_order(first.cells)
-                predicted = _representatives(first.atoms, first.atoms, first.cells)
-            elif j == rotation:
+        for j in sorted({*buckets[first.fingerprint], rotation} - {i, None}):
+            if j == rotation:
                 targets = tuple(_row_target(block, n) for block in first.rows)
-                predicted = _representatives(first.rows, targets, first.cells)
+                predicted = _representatives(first.rows, targets, first.atoms)
             else:
                 predicted = set()
-            wrong = predicted - observed if j == i else predicted ^ observed
-            for images in wrong:
+            for images in predicted ^ set(_observed(first, entries[j])):
                 hit = images in predicted
                 disagreements.extend(
                     Disagreement(i * count + j, i, j, sigma, hit, not hit)
-                    for sigma in _coset(images, first.cells)
+                    for sigma in _coset(images, first.atoms)
                 )
     return same_equal, sorted(disagreements, key=lambda d: (d.pair_index, d.labeling))
 
@@ -458,20 +449,20 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     connected diagrams of size n and every labeling in S_n.
 
     Labelings enter only through tau^-1 delta, so one sweep over sigma per
-    pair covers all labeling pairs.  Same-diagram pairs are swept too,
-    checking that the sufficient block condition never outruns the oracle.
-    Each sigma the oracle can accept is generated and decided by it, one
-    per right coset of the Young subgroup of the cells, which stands for
-    its whole coset.  The predicted cosets are built, not decided, and the
-    disagreements are their set difference with the accepted ones (see
-    _verify_rows); every other sigma agrees, both sides being false.  A
-    pair that fails conditions 1 and 2 and whose fingerprints, the shapes
-    of their (size, colour) cell classes, differ is decided whole, in one
-    step, on every run.  For c diagrams there are c(c - 1) pairs,
-    c^2 n! coset checks and c n! same-diagram checks, and the agreements
-    are the coset checks less the disagreements.  The sigma meeting the
-    same-diagram block condition map each atom onto itself, so there are
-    |Y| of them per diagram, for Y the Young subgroup of its atoms.
+    pair covers all labeling pairs.  Same-diagram pairs are counted too:
+    the sigma the oracle accepts, and those meeting the sufficient block
+    condition, which map each atom onto itself, so there are |Y| of them
+    per diagram, for Y the Young subgroup of its atoms.  Each sigma the
+    oracle can accept is generated and decided by it, one per right coset
+    of Y, which stands for its whole coset.  The predicted cosets are
+    built, not decided, and the disagreements are their symmetric
+    difference with the accepted ones (see _verify_rows); every other sigma
+    agrees, both sides being false.  A pair that fails conditions 1 and 2
+    and whose fingerprints, the shapes of their (size, colour) atom
+    classes, differ is decided whole, in one step, on every run.  For c
+    diagrams there are c(c - 1) pairs, c^2 n! coset checks and c n!
+    same-diagram checks, and the agreements are the coset checks less the
+    disagreements.
 
     The first diagram is the n-cell column, whose expansion has 2^(n - 1)
     terms, so n with 2^(n - 1) > EXPANSION_TERM_CAP raises ValueError
