@@ -174,12 +174,36 @@ def ribbon_schur(alpha: Composition) -> NCExpansion:
 
 def to_commutative(e: NCExpansion) -> SymExpansion:
     """Let the variables commute: h_pi maps to pi's shape factorial times
-    the commutative h of pi's shape."""
-    terms = []
+    the commutative h of pi's shape.
+
+    The terms are summed per shape as one integer numerator over one
+    denominator.  A term whose denominator equals the shape's adds its
+    numerator; only a differing denominator cross-multiplies.  In a
+    relabeled skew Schur function every key has coefficient +-1/(product of
+    the factorials of its shape), which depends on the shape alone, so the
+    denominators agree and stay that size, where cross-multiplying every
+    term would raise them to a power of the term count.  Each shape then
+    builds one Fraction, its numerator times the shape's factorial product
+    over its denominator, and a shape whose numerator sums to zero is
+    dropped.
+    """
+    sums: dict[tuple[int, ...], list[int]] = {}
     for raw, coeff in e._terms.items():
-        shape = SetPartition._trusted(raw).shape()
-        terms.append((shape.parts, coeff * shape.factorial()))
-    return SymExpansion._from_raw(terms)
+        shape = tuple(sorted(map(len, raw), reverse=True))
+        num, den = coeff.as_integer_ratio()
+        held = sums.get(shape)
+        if held is None:
+            sums[shape] = [num, den]
+        elif held[1] == den:
+            held[0] += num
+        else:
+            held[0] = held[0] * den + num * held[1]
+            held[1] *= den
+    return SymExpansion._from_raw(
+        (shape, Fraction(num * prod(map(factorial, shape)), den))
+        for shape, (num, den) in sums.items()
+        if num
+    )
 
 
 class MonomialTruncation:

@@ -107,10 +107,14 @@ class Expansion:
     def coefficient(self, key) -> Fraction:
         return self._terms.get(self._raw(key), Fraction(0))
 
+    def _display_terms(self) -> list[tuple[tuple, Fraction]]:
+        """(raw key, coefficient) pairs in display order: more parts first,
+        then lexicographic.  items(), repr() and every text form walk this."""
+        return sorted(self._terms.items(), key=_display_order)
+
     def items(self) -> list[tuple[Any, Fraction]]:
         """Terms in display order: more parts first, then lexicographic."""
-        terms = sorted(self._terms.items(), key=_display_order)
-        return [(self._key(raw), coeff) for raw, coeff in terms]
+        return [(self._key(raw), coeff) for raw, coeff in self._display_terms()]
 
     def support(self) -> set:
         return {self._key(raw) for raw in self._terms}
@@ -151,8 +155,7 @@ class Expansion:
         )
 
     def __repr__(self) -> str:
-        terms = sorted(self._terms.items(), key=_display_order)
-        inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in terms)
+        inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in self._display_terms())
         return f"{type(self).__name__}({{{inner}}})"
 
 

@@ -6,18 +6,29 @@ entries up to 9 ("12/3") and comma-separated entries above that ("1/2,4/3"),
 permutations in one-line notation ("321", comma-separated past 9), diagrams
 as outer/inner ("5,5,4,4,2/4,3,3,1", straight shapes may drop the slash),
 and expansions as signed lists of coeff*h[key] terms.
+
+Expansions print their terms in display order (more parts first, then
+lexicographic), read from the raw keys and from each coefficient's integer
+numerator and denominator; no key object or Fraction operator is involved.
+A coefficient's text is "num" or "num/den", exactly str(Fraction).  In a
+term the sign stands apart (" + " or " - ", a bare "-" on the first term)
+and a magnitude of 1 is left out: "1/2*h[12/3] - h[123]".  Keys print as
+format_partition and format_set_partition print them, the empty one as
+"0"; whether set partition keys print as digit runs is decided once per
+expansion, from its degree.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Callable
 
 from .compositions import Composition, Partition
 from .diagrams import SkewDiagram
 from .ncsym import NCExpansion
 from .permutations import Permutation
-from .setpartitions import SetPartition
+from .setpartitions import Blocks, SetPartition
 from .sym import SymExpansion
 
 
@@ -43,8 +54,12 @@ def _parse_int(token: str) -> int:
 # compositions and partitions
 
 
+def _parts_text(parts: tuple[int, ...]) -> str:
+    return ",".join([str(p) for p in parts]) if parts else "0"
+
+
 def format_composition(alpha: Composition) -> str:
-    return ",".join(str(p) for p in alpha.parts) if alpha.parts else "0"
+    return _parts_text(alpha.parts)
 
 
 def parse_composition(text: str) -> Composition:
@@ -60,7 +75,7 @@ def parse_composition(text: str) -> Composition:
 
 
 def format_partition(key: Partition) -> str:
-    return ",".join(str(p) for p in key.parts) if key.parts else "0"
+    return _parts_text(key.parts)
 
 
 def parse_partition(text: str) -> Partition:
@@ -78,12 +93,15 @@ def format_parenthesized(parts: tuple[int, ...]) -> str:
 # set partitions
 
 
-def format_set_partition(pi: SetPartition) -> str:
-    if not pi.blocks:
+def _blocks_text(blocks: Blocks, digit_runs: bool) -> str:
+    if not blocks:
         return "0"
-    if pi.size <= 9:
-        return "/".join("".join(str(e) for e in block) for block in pi.blocks)
-    return "/".join(",".join(str(e) for e in block) for block in pi.blocks)
+    separator = "" if digit_runs else ","
+    return "/".join([separator.join([str(e) for e in block]) for block in blocks])
+
+
+def format_set_partition(pi: SetPartition) -> str:
+    return _blocks_text(pi.blocks, pi.size <= 9)
 
 
 def parse_set_partition(text: str) -> SetPartition:
@@ -181,36 +199,49 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _format_terms(pairs, format_key) -> str:
-    if not pairs:
-        return "0"
+def _key_text(e: SymExpansion | NCExpansion) -> Callable[[tuple], str]:
+    """The text of a raw key of e: parts for a partition, blocks for a set
+    partition, with digit runs when e's degree is at most 9."""
+    if isinstance(e, SymExpansion):
+        return _parts_text
+    digit_runs = (e.degree or 0) <= 9
+    return lambda blocks: _blocks_text(blocks, digit_runs)
+
+
+def _format_terms(e: SymExpansion | NCExpansion) -> str:
+    key_text = _key_text(e)
     chunks = []
-    for index, (key, coeff) in enumerate(pairs):
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        body = f"h[{format_key(key)}]"
-        if magnitude != 1:
-            body = f"{magnitude}*{body}"
-        if index == 0:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-    return "".join(chunks)
+    for raw, coeff in e._display_terms():
+        num, den = coeff.as_integer_ratio()
+        sign = " + "
+        if num < 0:
+            sign, num = " - ", -num
+        magnitude = f"{num}/{den}*" if den != 1 else f"{num}*" if num != 1 else ""
+        chunks.append(f"{sign}{magnitude}h[{key_text(raw)}]")
+    if not chunks:
+        return "0"
+    text = "".join(chunks)
+    # the first term drops the spaces around its sign, and a "+" altogether
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_sym_expansion(e: SymExpansion) -> str:
-    return _format_terms(e.items(), lambda key: ",".join(str(p) for p in key.parts))
+    return _format_terms(e)
 
 
 def format_nc_expansion(e: NCExpansion) -> str:
-    return _format_terms(e.items(), format_set_partition)
+    return _format_terms(e)
 
 
 def machine_lines(e: SymExpansion | NCExpansion) -> list[str]:
     """One term per line as coeff<TAB>key."""
-    if isinstance(e, SymExpansion):
-        return [f"{coeff}\t{format_partition(key)}" for key, coeff in e.items()]
-    return [f"{coeff}\t{format_set_partition(key)}" for key, coeff in e.items()]
+    key_text = _key_text(e)
+    lines = []
+    for raw, coeff in e._display_terms():
+        num, den = coeff.as_integer_ratio()
+        coeff_text = str(num) if den == 1 else f"{num}/{den}"
+        lines.append(f"{coeff_text}\t{key_text(raw)}")
+    return lines
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:

@@ -139,6 +139,50 @@ def test_to_commutative_of_skew_schur():
                 assert to_commutative(act(delta, src)) == target
 
 
+def _reference_to_commutative(e):
+    """Each term's coefficient times its shape factorial, summed as
+    Fractions per shape, zeros dropped."""
+    merged = {}
+    for pi, coeff in e.items():
+        shape = pi.shape()
+        merged[shape] = merged.get(shape, 0) + coeff * shape.factorial()
+    return sym.SymExpansion({shape: c for shape, c in merged.items() if c})
+
+
+def test_to_commutative_matches_the_fraction_reference():
+    """Integer sums per shape give the per-term Fraction image, on equal
+    and on mixed denominators, and a shape that cancels is dropped."""
+    mixed = NCExpansion(
+        {
+            _sp((1, 2), (3,)): HALF,
+            _sp((1, 3), (2,)): Fraction(1, 3),
+            _sp((1,), (2,), (3,)): 2,
+            _sp((1, 2, 3)): SIXTH,
+        }
+    )
+    assert str(to_commutative(mixed)) == "2*h[1,1,1] + 5/3*h[2,1] + h[3]"
+    cancel_equal = NCExpansion({_sp((1, 2), (3,)): HALF, _sp((2, 3), (1,)): -HALF})
+    cancel_mixed = mixed + NCExpansion({_sp((2, 3), (1,)): Fraction(-5, 6)})
+    for e in (cancel_equal, cancel_mixed):
+        image = to_commutative(e)
+        assert image == _reference_to_commutative(e)
+        assert Partition((2, 1)) not in image.support()
+    assert not to_commutative(cancel_equal)
+    assert str(to_commutative(cancel_mixed)) == "2*h[1,1,1] + h[3]"
+    rng = random.Random(24)
+    scales = (Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 7))
+    for n in range(1, 7):
+        for d in connected_diagrams(n):
+            src = source_skew_schur(d)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            rel = act(Permutation(tuple(images)), src)
+            for e in (rel, rel.scaled(rng.choice(scales)) + src.scaled(rng.choice(scales))):
+                image = to_commutative(e)
+                assert image == _reference_to_commutative(e), d
+                assert repr(image) == repr(_reference_to_commutative(e))
+
+
 def test_to_commutative_is_multiplicative():
     a = schur(_sp((1, 3), (2,)))
     b = ribbon_schur(Composition((2, 1)))

@@ -14,6 +14,7 @@ from ncskew.diagrams import connected_diagrams
 from ncskew.ncsym import act, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation
 from ncskew.setpartitions import SetPartition
+from ncskew.sym import SymExpansion
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -56,6 +57,20 @@ def test_relabeling_commutes_away(data):
     e = data.draw(source_expansions())
     delta = data.draw(permutations_of(e.degree))
     assert to_commutative(act(delta, e)) == to_commutative(e)
+
+
+@PROPERTY
+@given(st.data())
+def test_to_commutative_matches_the_fraction_reference(data):
+    e = data.draw(source_expansions())
+    delta = data.draw(permutations_of(e.degree))
+    c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    mixed = act(delta, e).scaled(c) + e
+    merged = {}
+    for pi, coeff in mixed.items():
+        shape = pi.shape()
+        merged[shape] = merged.get(shape, 0) + coeff * shape.factorial()
+    assert to_commutative(mixed) == SymExpansion({s: v for s, v in merged.items() if v})
 
 
 @PROPERTY

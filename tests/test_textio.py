@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -163,3 +164,107 @@ def test_nc_expansion_round_trip():
 def test_machine_lines_nc():
     e = ncsym.source_skew_schur(SkewDiagram(Partition((2, 2)), Partition((1,))))
     assert textio.machine_lines(e) == ["1/2\t1/23", "-1/6\t123"]
+
+
+def _reference_key(key):
+    """A key's text as the formatter printed it through key objects."""
+    if isinstance(key, Partition):
+        return ",".join(str(p) for p in key.parts) if key.parts else "0"
+    if not key.blocks:
+        return "0"
+    separator = "" if key.size <= 9 else ","
+    return "/".join(separator.join(str(e) for e in block) for block in key.blocks)
+
+
+def _reference_terms(e):
+    """(key, coefficient) in display order, sorted here from the public
+    support: more parts first, then lexicographic."""
+    def raw(key):
+        return key.parts if isinstance(key, Partition) else key.blocks
+
+    keys = sorted(e.support(), key=lambda key: (-len(raw(key)), raw(key)))
+    return [(raw(key), key, e.coefficient(key)) for key in keys]
+
+
+def _reference_str(e):
+    """The Fraction-operator formatter: sign by comparison, magnitude by
+    negation, the 1 left out by equality, and str(Fraction)."""
+    chunks = []
+    for index, (_raw, key, coeff) in enumerate(_reference_terms(e)):
+        negative = coeff < 0
+        magnitude = -coeff if negative else coeff
+        body = f"h[{_reference_key(key)}]"
+        if magnitude != 1:
+            body = f"{magnitude}*{body}"
+        if index == 0:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f" - {body}" if negative else f" + {body}")
+    return "".join(chunks) or "0"
+
+
+def _reference_repr(e):
+    inner = ", ".join(f"{raw}: {coeff}" for raw, _key, coeff in _reference_terms(e))
+    return f"{type(e).__name__}({{{inner}}})"
+
+
+def _reference_machine_lines(e):
+    return [f"{coeff}\t{_reference_key(key)}" for _raw, key, coeff in _reference_terms(e)]
+
+
+def _assert_prints_as_reference(e):
+    assert str(e) == _reference_str(e), repr(e)
+    assert repr(e) == _reference_repr(e)
+    assert textio.machine_lines(e) == _reference_machine_lines(e), repr(e)
+
+
+def test_expansions_print_as_the_reference_formatter():
+    """str, repr and machine_lines, read from integer numerators and raw
+    keys, agree byte for byte with the Fraction-operator formatter: every
+    connected diagram with n <= 7, source-labeled and under seeded
+    labelings, with its commutative images; scaled and summed copies with
+    non-unit numerators, integer magnitudes and a negative leading term;
+    a degree-10 product, whose keys print with commas; and zero."""
+    rng = random.Random(24)
+    scales = (Fraction(2), Fraction(-1), Fraction(-3, 4), Fraction(5, 2), Fraction(-7))
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            src = ncsym.source_skew_schur(d)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            rel = ncsym.act(Permutation(tuple(images)), src)
+            c = rng.choice(scales)
+            for e in (src, rel, rel.scaled(c), src + rel.scaled(c), src - src):
+                _assert_prints_as_reference(e)
+                _assert_prints_as_reference(ncsym.to_commutative(e))
+            _assert_prints_as_reference(sym.skew_schur(d))
+            _assert_prints_as_reference(sym.skew_schur(d).scaled(c))
+    e = sym.h(Partition((2, 1))).scaled(2) - sym.h(Partition((3,))).scaled(Fraction(3, 2))
+    assert str(e) == "2*h[2,1] - 3/2*h[3]"
+    assert str(e.scaled(-1)) == "-2*h[2,1] + 3/2*h[3]"
+    assert textio.machine_lines(e.scaled(-1)) == ["-2\t2,1", "3/2\t3"]
+    _assert_prints_as_reference(e.scaled(-1))
+    hook = ncsym.source_skew_schur(SkewDiagram(Partition((3, 1, 1))))
+    big = hook * ncsym.act(Permutation((5, 3, 1, 2, 4)), hook).scaled(Fraction(-4, 3))
+    assert big.degree == 10
+    assert "," in str(big)
+    assert str(big).startswith("-")
+    _assert_prints_as_reference(big)
+    _assert_prints_as_reference(big + big.scaled(Fraction(1, 5)))
+    zero = big - big
+    assert (str(zero), repr(zero), textio.machine_lines(zero)) == ("0", "NCExpansion({})", [])
+
+
+def test_degree_zero_key_prints_as_zero():
+    """The empty key prints "0", as format_partition and machine_lines print
+    it; the parser still takes "h[]" too."""
+    for e, parse in (
+        (sym.h(Partition(())), textio.parse_sym_expansion),
+        (ncsym.h(SetPartition(())), textio.parse_nc_expansion),
+    ):
+        assert str(e) == "h[0]"
+        assert str(e.scaled(Fraction(-1, 2))) == "-1/2*h[0]"
+        assert textio.machine_lines(e) == ["1\t0"]
+        assert parse("h[0]") == e
+        assert parse("h[]") == e
+        assert parse(str(e)) == e
