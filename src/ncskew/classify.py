@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator
 
@@ -57,22 +56,33 @@ from .diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams
 from .ncsym import NCExpansion, _jacobi_trudi, source_skew_schur
 from .permutations import Permutation
 from .setpartitions import Blocks, SetPartition, interval_blocks
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LabeledDiagram:
+class LabeledDiagram(Value):
     """A connected skew diagram together with a permutation labeling."""
 
+    __slots__ = ("labeling", "diagram")
     labeling: Permutation
     diagram: SkewDiagram
 
-    def __post_init__(self) -> None:
-        if self.labeling.size != self.diagram.size:
+    def __init__(self, labeling: Permutation, diagram: SkewDiagram) -> None:
+        if labeling.size != diagram.size:
             raise ValueError(
-                f"labeling size {self.labeling.size} differs from diagram size {self.diagram.size}"
+                f"labeling size {labeling.size} differs from diagram size {diagram.size}"
             )
-        if not self.diagram.is_connected():
+        if not diagram.is_connected():
             raise ValueError("labeled diagrams must be connected")
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "diagram", diagram)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.labeling == other.labeling and self.diagram == other.diagram
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labeling, self.diagram))
 
 
 def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -129,13 +139,13 @@ def expansions_equal(a: LabeledDiagram, b: LabeledDiagram) -> bool:
     return source_skew_schur(a.diagram).relabels_to(sigma.images, source_skew_schur(b.diagram))
 
 
-@dataclass(frozen=True)
-class SameDiagramVerdict:
+class SameDiagramVerdict(Value):
     """Oracle verdict for one diagram labeled two ways, plus whether the
     relabeling satisfies the sufficient block condition: it preserves every
     block of every basis index in the source expansion, so it fixes every
     term.  Truthiness is the oracle verdict."""
 
+    __slots__ = ("equal", "blocks_preserved")
     equal: bool
     blocks_preserved: bool
 
@@ -180,14 +190,14 @@ def count_equivalent(d: SkewDiagram) -> int:
 # exhaustive verification
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Value):
     """One (diagram pair, labeling) where predicate and oracle differ.
 
     pair_index is first * diagram_count + second in enumeration order.
     Only distinct pairs are reported, as a same-diagram row has nothing to
     report (see _verify_rows)."""
 
+    __slots__ = ("pair_index", "first", "second", "labeling", "predicted", "observed")
     pair_index: int
     first: int
     second: int
@@ -196,10 +206,20 @@ class Disagreement:
     observed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of one exhaustive sweep at a fixed size."""
 
+    __slots__ = (
+        "size",
+        "diagram_count",
+        "pair_count",
+        "coset_checks",
+        "agreements",
+        "disagreements",
+        "same_diagram_checks",
+        "same_diagram_equal",
+        "same_diagram_condition",
+    )
     size: int
     diagram_count: int
     pair_count: int
@@ -264,8 +284,7 @@ def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
     return _representatives(pieces, targets, tuple((x,) for x in range(1, len(images) + 1)))
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(Value):
     """What the sweep needs of one diagram.
 
     partner is _rotation_partner of the diagram, and atoms are 1..n grouped
@@ -291,6 +310,7 @@ class _Entry:
     matches the atoms class by class.
     """
 
+    __slots__ = ("diagram", "expansion", "fingerprint", "rows", "atoms", "classes", "partner")
     diagram: SkewDiagram
     expansion: NCExpansion
     fingerprint: tuple[tuple[ClassKey, int], ...]

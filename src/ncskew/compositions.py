@@ -10,9 +10,10 @@ subclass, is refused rather than printed as True or False.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterable, Iterator
+
+from .value import Value
 
 
 def _dominates(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -27,21 +28,30 @@ def _dominates(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Value):
     """A finite sequence of positive integers, possibly empty.
 
     >>> Composition((1, 2, 1, 3, 2)).size
     9
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
+        for p in parts:
             if type(p) is not int or p < 1:
-                raise ValueError(f"composition parts must be positive integers, got {self.parts!r}")
+                raise ValueError(f"composition parts must be positive integers, got {parts!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -97,17 +107,26 @@ class Composition:
         return _dominates(self.parts, other.parts)
 
 
-@dataclass(frozen=True)
-class WeakComposition:
+class WeakComposition(Value):
     """Like a composition but zero parts are allowed."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
+        for p in parts:
             if type(p) is not int or p < 0:
-                raise ValueError(f"weak composition parts must be >= 0, got {self.parts!r}")
+                raise ValueError(f"weak composition parts must be >= 0, got {parts!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -131,23 +150,32 @@ class WeakComposition:
         return Composition(self.parts)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A weakly decreasing sequence of positive integers.
 
     >>> Partition((3, 2, 2, 1, 1)).length
     5
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
+        for p in parts:
             if type(p) is not int or p < 1:
-                raise ValueError(f"partition parts must be positive integers, got {self.parts!r}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must weakly decrease, got {self.parts!r}")
+                raise ValueError(f"partition parts must be positive integers, got {parts!r}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"partition parts must weakly decrease, got {parts!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> Partition:

@@ -9,10 +9,10 @@ be empty are rejected outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .compositions import Composition, Partition, WeakComposition, compositions
+from .value import Value
 
 # The most determinant terms one expansion may have; larger diagrams (a
 # column of more than 17 cells, say) are refused instead of running for hours.
@@ -34,8 +34,7 @@ def _count_terms(starts: list[int]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SubscriptMatrix:
+class SubscriptMatrix(Value):
     """The square matrix of Jacobi-Trudi subscripts of a skew diagram.
 
     Entry (i, j) is outer_i - inner_j - i + j with 1-based indices and inner
@@ -48,7 +47,19 @@ class SubscriptMatrix:
     these suffixes shrink going down.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @property
     def dimension(self) -> int:
@@ -114,19 +125,19 @@ class SubscriptMatrix:
         return ((subs, sign) for subs, _used, sign in partial)
 
 
-@dataclass(frozen=True)
-class SkewDiagram:
+class SkewDiagram(Value):
     """A skew shape outer/inner with no empty rows, in basic form.
 
     >>> SkewDiagram(Partition((3, 2)), Partition((1, 1))) == SkewDiagram(Partition((2, 1)))
     True
     """
 
+    __slots__ = ("outer", "inner")
     outer: Partition
-    inner: Partition = Partition(())
+    inner: Partition
 
-    def __post_init__(self) -> None:
-        lam, mu = self.outer.parts, self.inner.parts
+    def __init__(self, outer: Partition, inner: Partition = Partition(())) -> None:
+        lam, mu = outer.parts, inner.parts
         if not lam:
             raise ValueError("a skew diagram needs at least one row")
         if len(mu) > len(lam) or any(m > l for l, m in zip(lam, mu)):
@@ -138,13 +149,24 @@ class SkewDiagram:
         # Shifting two valid partitions by the offset, which every row
         # exceeds, gives partitions again, so only other inputs (a
         # Composition, say) are validated here.
-        valid = type(self.outer) is Partition and type(self.inner) is Partition
+        valid = type(outer) is Partition and type(inner) is Partition
         make = Partition._trusted if valid else Partition
         if offset:
             lam = tuple(l - offset for l in lam)
             padded = tuple(m - offset for m in padded)
         object.__setattr__(self, "outer", make(lam))
         object.__setattr__(self, "inner", make(tuple(m for m in padded if m)))
+
+    def __eq__(self, other: object) -> bool:
+        # outer and inner are always Partitions, so their parts decide.
+        if other.__class__ is self.__class__:
+            return self.outer.parts == other.outer.parts and self.inner.parts == other.inner.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Equal to hash((self.outer, self.inner)), without calling
+        # Partition.__hash__ twice.
+        return hash(((self.outer.parts,), (self.inner.parts,)))
 
     @property
     def size(self) -> int:

@@ -8,29 +8,38 @@ entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .setpartitions import SetPartition, relabel
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection of {1..n} stored in one-line notation.
 
     >>> Permutation((3, 2, 1))(1)
     3
     """
 
-    images: tuple[int, ...] = ()
+    __slots__ = ("images",)
+    images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        if not set(map(type, self.images)) <= {int}:
-            raise ValueError(f"permutation entries must be integers, got {self.images!r}")
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+    def __init__(self, images: Iterable[int] = ()) -> None:
+        images = tuple(images)
+        if not set(map(type, images)) <= {int}:
+            raise ValueError(f"permutation entries must be integers, got {images!r}")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def size(self) -> int:

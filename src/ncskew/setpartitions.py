@@ -10,32 +10,40 @@ of blocks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .compositions import Composition, Partition
+from .value import Value
 
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Value):
     """A partition of {1, ..., n} into disjoint nonempty blocks."""
 
-    blocks: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("blocks",)
+    blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        blocks = tuple(map(tuple, self.blocks))
-        if not all(blocks):
+    def __init__(self, blocks: Iterable[Iterable[int]] = ()) -> None:
+        tupled = tuple(map(tuple, blocks))
+        if not all(tupled):
             raise ValueError("set partition blocks must be nonempty")
-        seen = list(itertools.chain.from_iterable(blocks))
+        seen = list(itertools.chain.from_iterable(tupled))
         if not set(map(type, seen)) <= {int}:
-            raise ValueError(f"set partition entries must be integers, got {self.blocks!r}")
-        cleaned = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        object.__setattr__(self, "blocks", cleaned)
+            raise ValueError(f"set partition entries must be integers, got {blocks!r}")
+        cleaned = tuple(sorted(tuple(sorted(b)) for b in tupled))
         n = len(seen)
         if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"blocks must partition 1..n exactly once, got {self.blocks!r}")
+            raise ValueError(f"blocks must partition 1..n exactly once, got {cleaned!r}")
+        object.__setattr__(self, "blocks", cleaned)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     @property
     def size(self) -> int:

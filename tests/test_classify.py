@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -273,7 +272,9 @@ def test_verify_prune_and_jobs_change_nothing(monkeypatch):
 
 def test_no_entry_outlives_the_sweep():
     """verify_exhaustive builds its table per call, so no _Entry is left
-    alive once it returns."""
+    alive once it returns.  A live _Entry is tracked by the collector, so
+    gc.get_objects() would list one that outlived the sweep."""
+    assert gc.is_tracked(classify._entry(HOOK))
     verify_exhaustive(6)
     gc.collect()
     assert sum(isinstance(o, classify._Entry) for o in gc.get_objects()) == 0
@@ -303,7 +304,9 @@ def test_fingerprint_filter_never_skips_a_rotation_pair(monkeypatch):
         return relabels_to(*args)
 
     def own_fingerprint(d):
-        entries.append(dataclasses.replace(entry(d), fingerprint=d))
+        built = entry(d)
+        fields = {name: getattr(built, name) for name in classify._Entry.__slots__}
+        entries.append(classify._Entry(**{**fields, "fingerprint": d}))
         return entries[-1]
 
     monkeypatch.setattr(classify, "_entry", own_fingerprint)
@@ -733,8 +736,8 @@ def test_entry_matches_the_reference_entry():
     for n in range(1, 9):
         for d in connected_diagrams(n):
             got, want = classify._entry(d), _reference_entry(d)
-            for field in dataclasses.fields(classify._Entry):
-                assert getattr(got, field.name) == getattr(want, field.name), (d, field.name)
+            for name in classify._Entry.__slots__:
+                assert getattr(got, name) == getattr(want, name), (d, name)
 
 
 def _colours(expansion, n):
@@ -887,9 +890,9 @@ def test_a_key_met_twice_by_the_walk_is_summed_or_refused(monkeypatch):
     summed = classify._entry(d)
     assert summed.expansion == NCExpansion({rows: 1, column: -Fraction(1, 6)})
     assert len(summed.expansion) == 2
-    for field in dataclasses.fields(classify._Entry):
-        if field.name != "expansion":
-            assert getattr(summed, field.name) == getattr(plain, field.name), field.name
+    for name in classify._Entry.__slots__:
+        if name != "expansion":
+            assert getattr(summed, name) == getattr(plain, name), name
     monkeypatch.setattr(SubscriptMatrix, "surviving_terms", walk_with(((2, 1), -1)))
     assert ncsym._jacobi_trudi(d) == NCExpansion({column: -Fraction(1, 6)})
     with pytest.raises(RuntimeError, match="row blocks"):
