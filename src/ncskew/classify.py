@@ -27,7 +27,9 @@ Atoms refine every key, so for y in Y, sigma y (x -> sigma(y(x)), as in
 row block, so condition 3, which reads only the image of each row block,
 cannot tell sigma y from sigma either.  Every verdict of the sweep is then
 constant on each right coset sigma Y, and one representative per coset is
-decided by relabels_to and counted |Y| times.  Both premises hold by
+decided by relabels_to and counted |Y| times.  relabels_to relabels the
+keys through `relabel_keys`, which sorts each distinct block's image once
+per call and forgets it when the call returns.  Both premises hold by
 construction (see _Entry), and the fact the second rests on, that the row
 blocks are a key of the source expansion, is checked for every diagram.
 

@@ -21,7 +21,7 @@ from typing import Mapping
 from .compositions import Composition
 from .diagrams import SkewDiagram
 from .permutations import Permutation
-from .setpartitions import Blocks, SetPartition, interval_blocks, relabel
+from .setpartitions import Blocks, SetPartition, interval_blocks, relabel_keys
 from .sym import Expansion, SymExpansion
 
 
@@ -39,16 +39,19 @@ class NCExpansion(Expansion):
 
     def relabels_to(self, images: tuple[int, ...], other: NCExpansion) -> bool:
         """act(Permutation(images), self) == other, without building the
-        image: each term is relabeled and looked up in other in turn."""
-        if len(self._terms) != len(other._terms):
+        image: the keys are relabeled in turn by relabel_keys, whose per-call
+        memo sorts each distinct block's image once, and each is looked up
+        in other, stopping at the first that is missing or differs."""
+        terms = self._terms
+        if len(terms) != len(other._terms):
             return False
         target = other._terms
-        for raw, coeff in self._terms.items():
+        for key, coeff in zip(relabel_keys(images, terms), terms.values()):
             # Most checks end at a missing key, so None is tested first.
             # Fractions are kept in lowest terms, so comparing numerator and
             # denominator decides equality without Fraction.__eq__'s
             # isinstance dispatch.
-            found = target.get(relabel(images, raw))
+            found = target.get(key)
             if (
                 found is None
                 or found.numerator != coeff.numerator
@@ -73,15 +76,24 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
 
     This permutes the degree-n basis bijectively, so it maps expansions of
     degree n to expansions of degree n and preserves products of matching
-    degrees; no two terms meet, so the merge finds nothing to sum.  The zero
-    expansion is fixed by anything.
+    degrees.  The keys are relabeled by relabel_keys, whose per-call memo
+    sorts each distinct block's image once.  No two terms meet and e's
+    coefficients are nonzero Fractions already, so the image is built
+    straight from the relabeled keys and e's coefficients, with nothing to
+    sum or drop; a relabeled key met twice would break that, and raises
+    RuntimeError.  The zero expansion is fixed by anything.
     """
     if not e:
         return e
     if delta.size != e.degree:
         raise ValueError(f"permutation of size {delta.size} cannot act in degree {e.degree}")
-    images = delta.images
-    return NCExpansion._from_raw((relabel(images, raw), coeff) for raw, coeff in e._terms.items())
+    terms = e._terms
+    relabeled = dict(zip(relabel_keys(delta.images, terms), terms.values()))
+    if len(relabeled) != len(terms):
+        raise RuntimeError("act relabeled two keys onto one, so the relabeling is not a bijection")
+    image = object.__new__(NCExpansion)
+    image._terms = relabeled
+    return image
 
 
 @lru_cache(maxsize=2**12)

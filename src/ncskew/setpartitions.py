@@ -117,12 +117,39 @@ def interval_blocks(parts: Iterable[int]) -> Blocks:
 
 def relabel(images: tuple[int, ...], blocks: Blocks) -> Blocks:
     """Canonical blocks of a set partition relabeled entry by entry, e to
-    images[e - 1]; Permutation.act, ncsym.act and relabels_to call it.
+    images[e - 1]; Permutation.act calls it for one key, and relabel_keys
+    gives the same for every key of an expansion.
 
     >>> relabel((3, 2, 1), ((1, 2), (3,)))
     ((1,), (2, 3))
     """
     return tuple(sorted([tuple(sorted([images[e - 1] for e in block])) for block in blocks]))
+
+
+def relabel_keys(images: tuple[int, ...], keys: Iterable[Blocks]) -> Iterator[Blocks]:
+    """relabel(images, raw) for each raw key in turn, lazily; ncsym.act and
+    NCExpansion.relabels_to relabel an expansion's keys through it.
+
+    The keys of an expansion share their blocks: a Jacobi-Trudi expansion
+    of n cells holds at most n(n+1)/2 distinct interval blocks among all its
+    terms.  So each distinct block's sorted image is computed once, when it
+    is first met, and reused for every later key that holds the block.  The
+    memo lives for one call only.
+
+    >>> list(relabel_keys((3, 2, 1), [((1, 2), (3,)), ((1, 2, 3),)]))
+    [((1,), (2, 3)), ((1, 2, 3),)]
+    """
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    get = memo.get
+    for raw in keys:
+        relabeled = []
+        for block in raw:
+            image = get(block)
+            if image is None:
+                image = memo[block] = tuple(sorted([images[e - 1] for e in block]))
+            relabeled.append(image)
+        relabeled.sort()
+        yield tuple(relabeled)
 
 
 def set_partitions(n: int) -> Iterator[SetPartition]:

@@ -306,6 +306,23 @@ def test_act_matches_validating_constructor():
             assert got.items() == reference.items()
 
 
+def test_act_refuses_keys_relabeled_onto_one(monkeypatch):
+    """act builds its image without a merge, since relabeling by a
+    permutation is a bijection on keys.  A kernel that sent two keys onto
+    one would drop a term silently; act raises RuntimeError instead, by a
+    check that python -O keeps."""
+    e = source_skew_schur(ribbon(Composition((2, 1))))
+    assert len(e) == 2
+
+    def colliding(images, keys):
+        for _raw in keys:
+            yield ((1, 2, 3),)
+
+    monkeypatch.setattr(ncsym, "relabel_keys", colliding)
+    with pytest.raises(RuntimeError, match="onto one"):
+        act(Permutation((2, 1, 3)), e)
+
+
 def test_nc_inexact_coefficients_rejected():
     with pytest.raises(ValueError):
         NCExpansion({_sp((1,)): 0.1})

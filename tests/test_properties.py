@@ -13,7 +13,7 @@ from ncskew import textio
 from ncskew.diagrams import connected_diagrams
 from ncskew.ncsym import act, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation
-from ncskew.setpartitions import SetPartition
+from ncskew.setpartitions import SetPartition, relabel, relabel_keys
 from ncskew.sym import SymExpansion
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -33,7 +33,11 @@ def source_expansions(draw, max_size=5):
 
 @st.composite
 def set_partitions_of_size(draw, max_size=5):
-    n = draw(st.integers(0, max_size))
+    return draw(set_partitions_of(draw(st.integers(0, max_size))))
+
+
+@st.composite
+def set_partitions_of(draw, n):
     labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
     blocks = {}
     for entry, label in enumerate(labels, start=1):
@@ -71,6 +75,16 @@ def test_to_commutative_matches_the_fraction_reference(data):
         shape = pi.shape()
         merged[shape] = merged.get(shape, 0) + coeff * shape.factorial()
     assert to_commutative(mixed) == SymExpansion({s: v for s, v in merged.items() if v})
+
+
+@PROPERTY
+@given(st.data())
+def test_relabel_keys_is_relabel_key_by_key(data):
+    # repeated keys and keys sharing blocks both reach the block memo
+    n = data.draw(st.integers(0, 7))
+    keys = [pi.blocks for pi in data.draw(st.lists(set_partitions_of(n), max_size=12))]
+    images = data.draw(permutations_of(n)).images
+    assert list(relabel_keys(images, keys)) == [relabel(images, raw) for raw in keys]
 
 
 @PROPERTY

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from ncskew.compositions import Composition, Partition, compositions
-from ncskew.setpartitions import SetPartition, set_partitions
+from ncskew.diagrams import connected_diagrams
+from ncskew.ncsym import source_skew_schur
+from ncskew.setpartitions import SetPartition, relabel, relabel_keys, set_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -98,3 +102,29 @@ def test_refinement_counts():
         (a, b) for a in set_partitions(3) for b in set_partitions(3) if a.refines(b)
     ]
     assert len(pairs) == 12
+
+
+def test_relabel_keys_is_relabel_key_by_key():
+    """For every key of every source expansion with n <= 7, under a seeded
+    labeling, the memoized kernel gives what relabel gives, in key order."""
+    rng = random.Random(26)
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            keys = list(source_skew_schur(d)._terms)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            images = tuple(images)
+            assert list(relabel_keys(images, keys)) == [relabel(images, raw) for raw in keys]
+
+
+def test_relabel_keys_memo_lives_for_one_call():
+    """Calls on the same keys with different images each give their own
+    answer, one after the other or interleaved: no block image computed
+    for one call is read by another."""
+    keys = [((1, 2), (3,), (4,)), ((1,), (2, 3, 4)), ((1, 2), (3, 4)), ((1, 2, 3, 4),)]
+    first, second = (2, 1, 4, 3), (4, 3, 2, 1)
+    for images in (first, second, first):
+        assert list(relabel_keys(images, keys)) == [relabel(images, raw) for raw in keys]
+    assert list(relabel_keys(first, keys)) != list(relabel_keys(second, keys))
+    interleaved = zip(relabel_keys(first, keys), relabel_keys(second, keys))
+    assert list(interleaved) == [(relabel(first, raw), relabel(second, raw)) for raw in keys]
