@@ -9,7 +9,8 @@ be empty are rejected outright.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Iterable
 
 from .compositions import Composition, Partition, WeakComposition, compositions
 from .value import Value
@@ -45,6 +46,12 @@ class SubscriptMatrix(Value):
     so every row strictly increases and its nonnegative entries form a
     suffix of the columns; outer_i - i strictly decreases down the rows, so
     these suffixes shrink going down.
+
+    The matrix is for display and for checking against the ell! permutations;
+    the expansions do not build it.  They read the one walk over its
+    surviving terms, SkewDiagram.surviving_terms, which takes the row and
+    column parts straight from the diagram and gives each term's nonzero
+    subscripts in row order.
     """
 
     __slots__ = ("entries",)
@@ -72,57 +79,19 @@ class SubscriptMatrix(Value):
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(self.dimension))
 
-    def _suffix_starts(self) -> list[int]:
-        """The first column (0-based) of each row's nonnegative suffix."""
-        ell = self.dimension
-        return [next((j for j, s in enumerate(row) if s >= 0), ell) for row in self.entries]
-
     def term_count(self) -> int:
         """How many determinant terms have no negative subscript.
 
-        Placing rows bottom up, the row with k rows below it may take any
-        column of its suffix except the k already used, all of which lie in
-        its suffix because the suffixes shrink going down.
+        Each row strictly increases, so its nonnegative entries are the
+        columns from bisect_left(row, 0) on.  Placing rows bottom up, the
+        row with k rows below it may take any column of its suffix except
+        the k already used, all of which lie in its suffix because the
+        suffixes shrink going down.
 
         >>> SkewDiagram(Partition((1, 1, 1))).jt_subscripts().term_count()
         4
         """
-        return _count_terms(self._suffix_starts())
-
-    def surviving_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """The determinant terms with no negative subscript, each as the
-        subscripts (entry(i, w(i)) for the rows i top down) and sign(w).
-
-        Columns are assigned from the bottom row up, and since every row's
-        suffix contains the suffixes of the rows below it, each partial
-        assignment extends to a full one: the work grows with the number of
-        terms, not with the ell! permutations.  Placing a column flips the
-        sign once per used column to its left, one inversion each.
-
-        Raises ValueError when there are more than EXPANSION_TERM_CAP terms.
-
-        >>> sorted(SkewDiagram(Partition((2, 1))).jt_subscripts().surviving_terms())
-        [((2, 1), 1), ((3, 0), -1)]
-        """
-        starts = self._suffix_starts()
-        count = _count_terms(starts)
-        if count > EXPANSION_TERM_CAP:
-            raise ValueError(
-                f"the expansion has {count} terms, more than the cap of {EXPANSION_TERM_CAP}"
-            )
-        ell = self.dimension
-        # (subscripts of the rows placed so far, used columns as bits, sign)
-        partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-        for row, start in zip(reversed(self.entries), reversed(starts)):
-            # (column bit, the bits of the columns left of it, (subscript,))
-            choices = [(1 << c, (1 << c) - 1, (row[c],)) for c in range(start, ell)]
-            partial = [
-                (value + subs, used | bit, -sign if (used & left).bit_count() & 1 else sign)
-                for subs, used, sign in partial
-                for bit, left, value in choices
-                if not used & bit
-            ]
-        return ((subs, sign) for subs, _used, sign in partial)
+        return _count_terms([bisect_left(row, 0) for row in self.entries])
 
 
 class SkewDiagram(Value):
@@ -271,6 +240,69 @@ class SkewDiagram(Value):
         row_parts = [l - i for i, l in enumerate(lam, 1)]
         column_parts = [j - m for j, m in enumerate(_padded(mu, len(lam)), 1)]
         return SubscriptMatrix(tuple(tuple(r + c for c in column_parts) for r in row_parts))
+
+    def surviving_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """The Jacobi-Trudi determinant terms with no negative subscript,
+        each as its nonzero subscripts in row order (the entries (i, w(i))
+        of jt_subscripts() for the rows i top down, zeros dropped since
+        h_0 = 1) and sign(w).  This is the one determinant walk: sym.skew_schur
+        and ncsym._jacobi_trudi both expand it.
+
+        Entry (i, j) is the row part outer_i - i plus the column part
+        j - inner_j, read from the diagram without building the matrix.
+        The column parts strictly increase, so row i's nonnegative entries
+        are the columns from bisect_left(column parts, -(row part)) on, and
+        these suffixes shrink going down.  Columns are assigned from the
+        bottom row up, and since every row's suffix contains the suffixes of
+        the rows below it, each partial assignment extends to a full one:
+        the work grows with the number of terms, not with the ell!
+        permutations.  Placing a column flips the sign once per used column
+        to its left, one inversion each.
+
+        Raises ValueError when there are more than EXPANSION_TERM_CAP terms,
+        before any term is built.
+
+        >>> sorted(SkewDiagram(Partition((2, 1))).surviving_terms())
+        [((2, 1), 1), ((3,), -1)]
+        """
+        lam = self.outer.parts
+        ell = len(lam)
+        row_parts = [l - i for i, l in enumerate(lam, 1)]
+        column_parts = [j - m for j, m in enumerate(_padded(self.inner.parts, ell), 1)]
+        starts = [bisect_left(column_parts, -r) for r in row_parts]
+        count = _count_terms(starts)
+        if count > EXPANSION_TERM_CAP:
+            raise ValueError(
+                f"the expansion has {count} terms, more than the cap of {EXPANSION_TERM_CAP}"
+            )
+        # (nonzero subscripts of the rows placed so far, used columns as bits, sign)
+        partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+        for i in range(ell - 1, 0, -1):
+            r = row_parts[i]
+            # (column bit, the bits of the columns left of it, (subscript,) or ())
+            choices = [
+                (1 << c, (1 << c) - 1, (s,) if (s := r + column_parts[c]) else ())
+                for c in range(starts[i], ell)
+            ]
+            partial = [
+                (value + subs, used | bit, -sign if (used & left).bit_count() & 1 else sign)
+                for subs, used, sign in partial
+                for bit, left, value in choices
+                if not used & bit
+            ]
+        # The top row's suffix is every column (its first entry is its
+        # length), and the rows below it leave exactly one column free.
+        r = row_parts[0]
+        top = {
+            1 << c: ((1 << c) - 1, (s,) if (s := r + column_parts[c]) else ())
+            for c in range(ell)
+        }
+        free = (1 << ell) - 1
+        return [
+            (value + subs, -sign if (used & left).bit_count() & 1 else sign)
+            for subs, used, sign in partial
+            for left, value in [top[free ^ used]]
+        ]
 
     def ascii_art(self) -> str:
         """Rows of '#' cells padded with '.' to the bounding rectangle."""

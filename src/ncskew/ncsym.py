@@ -114,24 +114,22 @@ def _jacobi_trudi(d: SkewDiagram) -> NCExpansion:
     """The skew Schur function of d with the source labeling, built afresh;
     source_skew_schur caches it, and classify's table calls it directly.
 
-    Noncommutative Jacobi-Trudi, expanded over the determinant terms with
-    no negative subscript only (see SubscriptMatrix.surviving_terms): rows
-    take columns bottom up within the nonnegative suffix of their row of
-    subscripts, and since these suffixes shrink going down, no partial
-    choice is a dead end, so the work grows with the number of terms rather
-    than with ell!.  The term of w is sign(w) times h of the interval set
-    partition with consecutive block sizes A[1, w(1)], ..., A[ell, w(ell)]
-    (zeros vanish), divided by the product of the factorials of those
-    subscripts.  Terms with the same nonzero subscripts share one cached
+    Noncommutative Jacobi-Trudi, expanded over the one determinant walk,
+    SkewDiagram.surviving_terms: the terms with no negative subscript, each
+    as its nonzero subscripts A[1, w(1)], ..., A[ell, w(ell)] in row order
+    and sign(w).  The work grows with the number of terms rather than with
+    ell!.  The term of w is sign(w) times h of the interval set partition
+    with those consecutive block sizes, divided by the product of their
+    factorials.  Terms with the same nonzero subscripts share one cached
     key and coefficient (_composition_term); equal keys are still summed,
     which no connected diagram with n <= 12 needs, and a key summing to
     zero is dropped.  More than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    walk = d.jt_subscripts().surviving_terms()
-    terms = ((_composition_term(tuple(filter(None, subs))), sign) for subs, sign in walk)
-    return NCExpansion._from_raw(
-        (blocks, plus if sign > 0 else minus) for (blocks, plus, minus), sign in terms
-    )
+    pairs = []
+    for subs, sign in d.surviving_terms():
+        blocks, plus, minus = _composition_term(subs)
+        pairs.append((blocks, plus if sign > 0 else minus))
+    return NCExpansion._from_raw(pairs)
 
 
 @lru_cache(maxsize=1024)

@@ -42,7 +42,7 @@ def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction
     every lookup and costs more than the rest of the merge.  So a key is
     hashed once unless it repeats (setdefault, then a length check), zeros
     are deleted in place, and the dict is copied only to turn coefficients
-    that are not Fractions, such as skew_schur's int signs, into
+    that are not Fractions, such as ints given to _from_raw, into
     Fractions."""
     data: dict[tuple, Coefficient] = {}
     for raw, coeff in pairs:
@@ -185,18 +185,20 @@ def h(key: Partition) -> SymExpansion:
 def skew_schur(d: SkewDiagram) -> SymExpansion:
     """The skew Schur function of d, by the Jacobi-Trudi determinant.
 
-    Only the determinant terms with no negative subscript are enumerated
-    (see SubscriptMatrix.surviving_terms): rows take columns bottom up
-    within the nonnegative suffix of their row of subscripts, and since
-    these suffixes shrink going down, no partial choice is a dead end.  Each
-    term is sign(w) times h of its sorted positive subscripts; subscript
-    zero contributes the factor 1.  More than EXPANSION_TERM_CAP terms raise
-    ValueError.
+    Expands the one determinant walk, SkewDiagram.surviving_terms, which
+    gives each term with no negative subscript as its nonzero subscripts in
+    row order and sign(w); the term is sign(w) times h of those subscripts
+    sorted.  The int signs are summed per key, a key summing to zero is
+    dropped, and each key left builds one Fraction.  More than
+    EXPANSION_TERM_CAP terms raise ValueError.
     """
-    return SymExpansion._from_raw(
-        (tuple(sorted(filter(None, subs), reverse=True)), sign)
-        for subs, sign in d.jt_subscripts().surviving_terms()
-    )
+    sums: dict[tuple[int, ...], int] = {}
+    for subs, sign in d.surviving_terms():
+        key = tuple(sorted(subs, reverse=True))
+        sums[key] = sums.get(key, 0) + sign
+    e = object.__new__(SymExpansion)
+    e._terms = {key: Fraction(total) for key, total in sums.items() if total}
+    return e
 
 
 def ribbon_schur(alpha: Composition) -> SymExpansion:

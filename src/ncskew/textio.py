@@ -43,11 +43,20 @@ def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _too_long(digits: int) -> ParseError:
+    """The error for a number that int() refuses to read for its length
+    (Python's limit on converting long digit strings)."""
+    return ParseError(f"a number of {digits} digits is too long to read")
+
+
 def _parse_int(token: str) -> int:
     token = token.strip()
     if not _is_digits(token):
         raise ParseError(f"not a number: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise _too_long(len(token)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,10 @@ def parse_rational(text: str) -> Fraction:
     # digits on both sides of the slash, and no zero denominator
     if not (_is_digits(numerator) and _is_digits(denominator) and denominator.strip("0")):
         raise ParseError(f"not a rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise _too_long(max(len(numerator), len(denominator))) from None
 
 
 def _key_text(e: SymExpansion | NCExpansion) -> Callable[[tuple], str]:

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncskew import classify, ncsym
+from ncskew import classify, ncsym, sym
 from ncskew.compositions import Composition, Partition, compositions
-from ncskew.diagrams import SkewDiagram, SubscriptMatrix, connected_diagrams, ribbon
+from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
 from ncskew.ncsym import NCExpansion, h, skew_schur, source_skew_schur, to_commutative
 from ncskew.permutations import Permutation, symmetric_group
 from ncskew.setpartitions import SetPartition, relabel, set_partitions
@@ -217,8 +217,8 @@ def test_support_keys_are_the_surviving_term_keys():
     for n in range(1, 8):
         for d in connected_diagrams(n):
             surviving = {
-                SetPartition.from_composition(Composition(tuple(s for s in subs if s)))
-                for subs, _sign in d.jt_subscripts().surviving_terms()
+                SetPartition.from_composition(Composition(subs))
+                for subs, _sign in d.surviving_terms()
             }
             assert source_skew_schur(d).support() == surviving, d
             assert len(source_skew_schur(d)) == d.jt_subscripts().term_count(), d
@@ -879,24 +879,36 @@ def test_a_key_met_twice_by_the_walk_is_summed_or_refused(monkeypatch):
     refused."""
     d = HOOK
     plain = classify._entry(d)
-    walk = list(d.jt_subscripts().surviving_terms())
+    walk = d.surviving_terms()
     rows = SetPartition.from_composition(d.row_lengths())
     column = SetPartition(((1, 2, 3),))
 
     def walk_with(extra):
-        return lambda _matrix: iter(walk + [extra])
+        return lambda _d: walk + [extra]
 
-    monkeypatch.setattr(SubscriptMatrix, "surviving_terms", walk_with(((2, 1), 1)))
+    monkeypatch.setattr(SkewDiagram, "surviving_terms", walk_with(((2, 1), 1)))
     summed = classify._entry(d)
     assert summed.expansion == NCExpansion({rows: 1, column: -Fraction(1, 6)})
     assert len(summed.expansion) == 2
     for name in classify._Entry.__slots__:
         if name != "expansion":
             assert getattr(summed, name) == getattr(plain, name), name
-    monkeypatch.setattr(SubscriptMatrix, "surviving_terms", walk_with(((2, 1), -1)))
+    monkeypatch.setattr(SkewDiagram, "surviving_terms", walk_with(((2, 1), -1)))
     assert ncsym._jacobi_trudi(d) == NCExpansion({column: -Fraction(1, 6)})
     with pytest.raises(RuntimeError, match="row blocks"):
         classify._entry(d)
+
+
+def test_both_expansions_read_the_one_walk(monkeypatch):
+    """The commutative and the NCSym Jacobi-Trudi expansions expand the
+    same determinant walk, so one term injected into it shows in both: the
+    hook gains h[1,1,1] and h[1/2/3], each with coefficient 1."""
+    d = HOOK
+    walk = d.surviving_terms()
+    plain_sym, plain_nc = sym.skew_schur(d), ncsym._jacobi_trudi(d)
+    monkeypatch.setattr(SkewDiagram, "surviving_terms", lambda _d: walk + [((1, 1, 1), 1)])
+    assert sym.skew_schur(d) == plain_sym + sym.h(Partition((1, 1, 1)))
+    assert ncsym._jacobi_trudi(d) == plain_nc + h(SetPartition(((1,), (2,), (3,))))
 
 
 def test_building_the_table_decides_no_labeling(monkeypatch):

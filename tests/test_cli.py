@@ -183,6 +183,23 @@ def test_verify_reports_a_sweep_that_cannot_run(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_number_too_long_to_read_is_a_parse_error(capsys):
+    """Python refuses to read an int of more than 4,300 digits by default;
+    show, expand and expand-nc report such a number as ncskew's own parse
+    error, naming its digit count, with exit code 2."""
+    long = "9" * 5000
+    for argv in (
+        ["show", long],
+        ["expand", f"{long},1"],
+        ["expand-nc", "--source", long],
+        ["expand-nc", "1", f"2/{long}"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: a number of 5000 digits is too long to read\n", argv
+        assert "sys.set_int_max_str_digits" not in err
+
+
 def test_verify_seven_runs_without_force(capsys):
     code, out, _ = run(capsys, "verify", "7")
     assert code == 0

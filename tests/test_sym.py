@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -29,7 +30,7 @@ def test_expansion_shell():
 
 
 def test_collect_sums_drops_zeros_and_keeps_first_appearance():
-    """Every expansion builder merges through _collect, which deletes zeros
+    """The expansion builders merge through _collect, which deletes zeros
     in place and copies only to make Fractions of other coefficients: a
     repeated key is summed at its first place, a zero, given or summed, is
     dropped, and every coefficient comes out a Fraction."""
@@ -95,6 +96,40 @@ def test_worked_hook():
     assert e == h(Partition((2, 1))) - h(Partition((3,)))
     assert str(e) == "h[2,1] - h[3]"
     assert ribbon_schur(Composition((2, 1))) == e
+
+
+def _oracle_terms(d):
+    """(h key, sign) for each of the ell! permutations w of the rows of d's
+    subscript matrix whose subscripts A[i, w(i)] are all nonnegative: the
+    key is the nonzero subscripts sorted, since h_0 = 1.  Taking the k-th
+    smallest free column adds k inversions."""
+    entries = d.jt_subscripts().entries
+    ell = len(entries)
+
+    def place(i, free, subs, sign):
+        if i == ell:
+            if min(subs) >= 0:
+                yield Partition(tuple(sorted((s for s in subs if s), reverse=True))), sign
+            return
+        for k, c in enumerate(free):
+            rest = free[:k] + free[k + 1 :]
+            yield from place(i + 1, rest, subs + (entries[i][c],), -sign if k & 1 else sign)
+
+    return place(0, tuple(range(ell)), (), 1)
+
+
+def test_skew_schur_matches_validating_constructor():
+    """skew_schur sums its int signs per key and builds its Fractions
+    itself, without _collect; the result is what the validating constructor
+    builds from the ell! permutation oracle's signed terms, with every
+    coefficient a nonzero Fraction."""
+    hooks = [SkewDiagram(Partition((k,) + (1,) * (9 - k))) for k in range(1, 10)]
+    for d in chain(*(connected_diagrams(n) for n in range(1, 8)), hooks):
+        reference = SymExpansion(_oracle_terms(d))
+        got = skew_schur(d)
+        assert got == reference, d
+        assert str(got) == str(reference)
+        assert all(type(coeff) is Fraction and coeff for _key, coeff in got.items()), d
 
 
 def test_ribbon_formula_matches_determinant():

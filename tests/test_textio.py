@@ -89,6 +89,23 @@ def test_non_ascii_digits_are_parse_errors():
             parse(text)
 
 
+def test_numbers_too_long_to_read_are_parse_errors():
+    """int() and Fraction() refuse digit strings past Python's limit (4,300
+    digits by default) with a ValueError; every parser turns it into a
+    ParseError naming the digit count."""
+    long = "7" * 5000
+    for parse, text in (
+        (textio.parse_partition, long),
+        (textio.parse_set_partition, f"1,{long}"),
+        (textio.parse_permutation, f"1,{long}"),
+        (textio.parse_rational, f"-{long}/3"),
+        (textio.parse_rational, f"3/{long}"),
+        (textio.parse_sym_expansion, f"{long}*h[1]"),
+    ):
+        with pytest.raises(ParseError, match="^a number of 5000 digits is too long to read$"):
+            parse(text)
+
+
 def test_diagram_round_trip():
     for n in range(1, 6):
         for d in connected_diagrams(n):
