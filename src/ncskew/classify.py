@@ -78,14 +78,6 @@ class LabeledDiagram(Value):
         object.__setattr__(self, "labeling", labeling)
         object.__setattr__(self, "diagram", diagram)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.labeling == other.labeling and self.diagram == other.diagram
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.labeling, self.diagram))
-
 
 def _row_target(block: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Where condition 3 sends the row block [a, b]: onto [n+1-b, n+1-a],

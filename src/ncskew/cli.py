@@ -26,9 +26,11 @@ VERIFY_CAP = 11
 
 
 def _ascii_int(text: str) -> int:
-    """int(text) for ASCII text only: int() also reads digits such as "٣",
-    which textio refuses.  Any failure keeps argparse's message for int."""
-    if text.isascii():
+    """int(text) for a run of ASCII digits only: int() also reads digits
+    such as "٣", signs, spaces and underscores, which textio refuses.  Any
+    refusal, a digit string too long for int() included, keeps argparse's
+    message for int."""
+    if textio._is_digits(text):
         try:
             return int(text)
         except ValueError:

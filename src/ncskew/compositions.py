@@ -45,14 +45,6 @@ class Composition(Value):
                 raise ValueError(f"composition parts must be positive integers, got {parts!r}")
         object.__setattr__(self, "parts", parts)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -120,14 +112,6 @@ class WeakComposition(Value):
                 raise ValueError(f"weak composition parts must be >= 0, got {parts!r}")
         object.__setattr__(self, "parts", parts)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -168,14 +152,6 @@ class Partition(Value):
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must weakly decrease, got {parts!r}")
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> Partition:

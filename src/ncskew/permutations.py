@@ -33,14 +33,6 @@ class Permutation(Value):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         object.__setattr__(self, "images", images)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
     @property
     def size(self) -> int:
         return len(self.images)

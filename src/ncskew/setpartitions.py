@@ -37,14 +37,6 @@ class SetPartition(Value):
             raise ValueError(f"blocks must partition 1..n exactly once, got {cleaned!r}")
         object.__setattr__(self, "blocks", cleaned)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
     @property
     def size(self) -> int:
         return sum(len(b) for b in self.blocks)

@@ -7,10 +7,14 @@ assignment and deletion, and pickles and copies it through its
 constructor.  Two values are equal only when they are of one class and
 their fields are equal, and a value hashes as the tuple of its fields.
 
-Value's own __init__, __eq__ and __hash__ read the fields by name, which
-costs several times a direct attribute read, so only records that are
-built and compared rarely use them.  The types that are compared, hashed
-or built in bulk define their own.
+This is the one equality and hashing rule of every value type but
+SkewDiagram.  Value's __eq__ and __hash__ read the fields by name, which
+costs several times a direct attribute read, but no workload compares or
+hashes any other value type in bulk.  SkewDiagram, the expansion cache's
+key and the sweep's index key, is hashed and compared thousands of times
+in one benchmark pass, so it defines its own; its comment gives the
+counts.  Value's __init__ serves the types that neither validate nor are
+built in bulk; the others define their own.
 """
 
 from __future__ import annotations

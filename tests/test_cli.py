@@ -255,13 +255,19 @@ def test_non_ascii_digits_exit_with_a_parse_error(capsys):
 
 
 def test_non_ascii_digits_are_not_counts(capsys):
-    """int() reads "٣" as 3, but the counts of verify and overlap take the
-    ASCII digits only, with argparse's message for a bad int: exit code 2,
-    nothing run.  ASCII text int() refuses keeps that same message."""
+    """int() reads "٣" as 3, and "1_0", "+4" and " 4" too, but the counts
+    of verify and overlap take the ASCII digits only, with argparse's
+    message for a bad int: exit code 2, nothing run.  ASCII text int()
+    refuses keeps that same message."""
     for args, name, token in (
         (("verify", "٣"), "n", "٣"),
         (("overlap", "2,1", "١"), "k", "١"),
         (("verify", "three"), "n", "three"),
+        (("verify", "1_0"), "n", "1_0"),
+        (("verify", "+4"), "n", "+4"),
+        (("verify", " 4"), "n", " 4"),
+        (("verify", "-3"), "n", "-3"),
+        (("overlap", "2,1", "0_1"), "k", "0_1"),
     ):
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, ""), args

@@ -17,6 +17,7 @@ from ncskew.compositions import Composition, Partition, WeakComposition
 from ncskew.diagrams import SkewDiagram
 from ncskew.permutations import Permutation
 from ncskew.setpartitions import SetPartition
+from ncskew.value import Value
 
 PACKAGE_DIR = pathlib.Path(ncskew.__file__).parent
 
@@ -136,6 +137,29 @@ def test_values_of_different_classes_differ():
     assert Composition((2, 1)) != WeakComposition((2, 1))
     assert Partition((2, 1)) != (2, 1) and Partition((2, 1)) != ((2, 1),)
     assert Disagreement(1, 0, 1, (2, 1), True, False) != (1, 0, 1, (2, 1), True, False)
+
+
+def test_values_of_one_class_with_other_fields_differ():
+    for first, second in [
+        (Composition((1, 2)), Composition((2, 1))),
+        (WeakComposition((0, 2)), WeakComposition((2, 0))),
+        (Partition((2, 1)), Partition((2, 1, 1))),
+        (HOOK.jt_subscripts(), ROTATED.jt_subscripts()),
+        (SetPartition(((1, 3), (2,))), SetPartition(((1, 2), (3,)))),
+        (Permutation((2, 1)), Permutation((1, 2))),
+        (LabeledDiagram(Permutation((3, 1, 2)), HOOK), LabeledDiagram(Permutation((1, 2, 3)), HOOK)),
+    ]:
+        assert first != second and not first == second, first
+
+
+def test_value_is_the_one_equality_and_hash_but_for_skew_diagrams():
+    """SkewDiagram, hashed and compared in bulk as a cache and index key,
+    is the one value type with its own __eq__ and __hash__."""
+    types = {type(build()) for build, _ in VALUES}
+    assert types == set(Value.__subclasses__())
+    for cls in types - {SkewDiagram}:
+        assert cls.__eq__ is Value.__eq__ and cls.__hash__ is Value.__hash__, cls
+    assert {"__eq__", "__hash__"} <= vars(SkewDiagram).keys()
 
 
 def test_value_defaults_and_normal_forms():
