@@ -6,6 +6,9 @@ parts, a weak composition allows zeros, and a partition is weakly
 decreasing.  Operations that need positivity reject weak input instead of
 silently dropping zeros.  Parts must be ints proper: a bool, an int
 subclass, is refused rather than printed as True or False.
+
+The three share _Parts's one parts check, size and length; each names its
+least part and its refusal, and Partition adds its weakly-decreasing check.
 """
 
 from __future__ import annotations
@@ -28,21 +31,20 @@ def _dominates(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     return True
 
 
-class Composition(Value):
-    """A finite sequence of positive integers, possibly empty.
+class _Parts:
+    """The parts check, size and length of the three types below."""
 
-    >>> Composition((1, 2, 1, 3, 2)).size
-    9
-    """
-
-    __slots__ = ("parts",)
+    __slots__ = ()
+    _least: int
+    _refusal: str
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         parts = tuple(parts)
+        least = self._least
         for p in parts:
-            if type(p) is not int or p < 1:
-                raise ValueError(f"composition parts must be positive integers, got {parts!r}")
+            if type(p) is not int or p < least:
+                raise ValueError(f"{self._refusal}, got {parts!r}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -52,6 +54,18 @@ class Composition(Value):
     @property
     def length(self) -> int:
         return len(self.parts)
+
+
+class Composition(_Parts, Value):
+    """A finite sequence of positive integers, possibly empty.
+
+    >>> Composition((1, 2, 1, 3, 2)).size
+    9
+    """
+
+    __slots__ = ("parts",)
+    _least = 1
+    _refusal = "composition parts must be positive integers"
 
     def to_partition(self) -> Partition:
         """Sort the parts weakly decreasing.
@@ -99,26 +113,12 @@ class Composition(Value):
         return _dominates(self.parts, other.parts)
 
 
-class WeakComposition(Value):
+class WeakComposition(_Parts, Value):
     """Like a composition but zero parts are allowed."""
 
     __slots__ = ("parts",)
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int] = ()) -> None:
-        parts = tuple(parts)
-        for p in parts:
-            if type(p) is not int or p < 0:
-                raise ValueError(f"weak composition parts must be >= 0, got {parts!r}")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+    _least = 0
+    _refusal = "weak composition parts must be >= 0"
 
     def reverse(self) -> WeakComposition:
         return WeakComposition(self.parts[::-1])
@@ -134,7 +134,7 @@ class WeakComposition(Value):
         return Composition(self.parts)
 
 
-class Partition(Value):
+class Partition(_Parts, Value):
     """A weakly decreasing sequence of positive integers.
 
     >>> Partition((3, 2, 2, 1, 1)).length
@@ -142,16 +142,14 @@ class Partition(Value):
     """
 
     __slots__ = ("parts",)
-    parts: tuple[int, ...]
+    _least = 1
+    _refusal = "partition parts must be positive integers"
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        parts = tuple(parts)
-        for p in parts:
-            if type(p) is not int or p < 1:
-                raise ValueError(f"partition parts must be positive integers, got {parts!r}")
+        _Parts.__init__(self, parts)
+        parts = self.parts
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must weakly decrease, got {parts!r}")
-        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> Partition:
@@ -159,14 +157,6 @@ class Partition(Value):
         key = object.__new__(cls)
         object.__setattr__(key, "parts", parts)
         return key
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
     def factorial(self) -> int:
         return prod(factorial(p) for p in self.parts)

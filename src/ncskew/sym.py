@@ -34,17 +34,16 @@ def _exact(coeff: object) -> Fraction:
     raise ValueError(f"coefficients must be int or Fraction, got {coeff!r}")
 
 
-def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction]:
-    """Sum the coefficients of equal raw keys and drop zeros, keeping the
-    order in which the keys first appear.
+def _collect(pairs: Iterable[tuple[tuple, Fraction]]) -> dict[tuple, Fraction]:
+    """Sum the Fraction coefficients of equal raw keys and drop zeros,
+    keeping the order in which the keys first appear.
 
     A set partition key is a tuple of tuples, whose hash is recomputed at
     every lookup and costs more than the rest of the merge.  So a key is
-    hashed once unless it repeats (setdefault, then a length check), zeros
-    are deleted in place, and the dict is copied only to turn coefficients
-    that are not Fractions, such as ints given to _from_raw, into
-    Fractions."""
-    data: dict[tuple, Coefficient] = {}
+    hashed once unless it repeats (setdefault, then a length check), and
+    zeros are deleted in place.  _exact made every coefficient a Fraction
+    at the constructor or at scaled, and _from_raw's callers pass Fractions."""
+    data: dict[tuple, Fraction] = {}
     for raw, coeff in pairs:
         size = len(data)
         held = data.setdefault(raw, coeff)
@@ -52,11 +51,6 @@ def _collect(pairs: Iterable[tuple[tuple, Coefficient]]) -> dict[tuple, Fraction
             data[raw] = held + coeff
     for raw in [raw for raw, coeff in data.items() if not coeff]:
         del data[raw]
-    if not {Fraction}.issuperset(map(type, data.values())):
-        return {
-            raw: coeff if type(coeff) is Fraction else Fraction(coeff)
-            for raw, coeff in data.items()
-        }
     return data
 
 
@@ -79,20 +73,23 @@ class Expansion:
     ) -> None:
         pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
         for key, _coeff in pairs:
-            if not isinstance(key, self._key_type):
-                raise ValueError(f"expansion keys must be {self._key_type.__name__}, got {key!r}")
+            self._check_key(key)
         self._terms = _collect((self._raw(key), _exact(coeff)) for key, coeff in pairs)
         degrees = {self._key(raw).size for raw in self._terms}
         if len(degrees) > 1:
             raise ValueError(f"expansion mixes degrees {sorted(degrees)}")
 
     @classmethod
-    def _from_raw(cls, pairs: Iterable[tuple[tuple, Coefficient]]):
-        """Trusted constructor from (raw key, coefficient) pairs whose keys
-        are canonical and of one degree, as keys derived from valid ones are."""
+    def _from_raw(cls, pairs: Iterable[tuple[tuple, Fraction]]):
+        """Trusted constructor from (raw key, Fraction) pairs whose keys are
+        canonical and of one degree, as keys derived from valid ones are."""
         e = object.__new__(cls)
         e._terms = _collect(pairs)
         return e
+
+    def _check_key(self, key) -> None:
+        if not isinstance(key, self._key_type):
+            raise ValueError(f"expansion keys must be {self._key_type.__name__}, got {key!r}")
 
     def _key(self, raw: tuple):
         return self._key_type._trusted(raw)
@@ -105,6 +102,7 @@ class Expansion:
         return None
 
     def coefficient(self, key) -> Fraction:
+        self._check_key(key)
         return self._terms.get(self._raw(key), Fraction(0))
 
     def _display_terms(self) -> list[tuple[tuple, Fraction]]:

@@ -67,20 +67,25 @@ def _parts_text(parts: tuple[int, ...]) -> str:
     return ",".join([str(p) for p in parts]) if parts else "0"
 
 
+def _parse_parts(text: str, parts_type):
+    """The comma list text ("0" for none) as a parts_type, checked by it."""
+    text = text.strip()
+    if text == "0":
+        return parts_type(())
+    if not text:
+        raise ParseError(f"empty {parts_type.__name__.lower()}")
+    try:
+        return parts_type(tuple(_parse_int(t) for t in text.split(",")))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def format_composition(alpha: Composition) -> str:
     return _parts_text(alpha.parts)
 
 
 def parse_composition(text: str) -> Composition:
-    text = text.strip()
-    if text == "0":
-        return Composition(())
-    if not text:
-        raise ParseError("empty composition")
-    try:
-        return Composition(tuple(_parse_int(t) for t in text.split(",")))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _parse_parts(text, Composition)
 
 
 def format_partition(key: Partition) -> str:
@@ -88,10 +93,7 @@ def format_partition(key: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    try:
-        return Partition(parse_composition(text).parts)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _parse_parts(text, Partition)
 
 
 def format_parenthesized(parts: tuple[int, ...]) -> str:

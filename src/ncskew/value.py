@@ -14,7 +14,10 @@ hashes any other value type in bulk.  SkewDiagram, the expansion cache's
 key and the sweep's index key, is hashed and compared thousands of times
 in one benchmark pass, so it defines its own; its comment gives the
 counts.  Value's __init__ serves the types that neither validate nor are
-built in bulk; the others define their own.
+built in bulk; the others define their own, but for the parts types
+Composition, WeakComposition and Partition, which share the annotation of
+parts and the one parts check of compositions._Parts (Partition adds its
+weakly-decreasing check).
 """
 
 from __future__ import annotations

@@ -137,6 +137,19 @@ def test_show(capsys):
     assert (code, out) == (0, ".#\n##\n")
 
 
+def test_diagram_parse_errors_name_partitions(capsys):
+    """A diagram's outer and inner shapes are read as partitions, and the
+    errors name them."""
+    for args, message in (
+        (("show", "2,0"), "partition parts must be positive integers, got (2, 0)"),
+        (("show", "/"), "empty partition"),
+        (("expand-nc", "12", "2/0,1"), "partition parts must be positive integers, got (0, 1)"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err == f"error: {message}\n", args
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "3")
     assert code == 0

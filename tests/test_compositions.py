@@ -15,6 +15,24 @@ def test_composition_rejects_bad_parts():
         Composition((1.5,))
 
 
+@pytest.mark.parametrize(
+    "kind, parts, message",
+    [
+        (Composition, (2, 0), "composition parts must be positive integers, got (2, 0)"),
+        (WeakComposition, (2, -1), "weak composition parts must be >= 0, got (2, -1)"),
+        (Partition, (2, 0), "partition parts must be positive integers, got (2, 0)"),
+        (Partition, (1, 2), "partition parts must weakly decrease, got (1, 2)"),
+    ],
+)
+def test_each_parts_type_refuses_in_its_own_words(kind, parts, message):
+    with pytest.raises(ValueError) as caught:
+        kind(parts)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        kind(parts=list(parts))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("kind", [Composition, Partition, WeakComposition])
 @pytest.mark.parametrize("parts", [(True, 2), (2, True), (False,)])
 def test_bool_parts_rejected(kind, parts):

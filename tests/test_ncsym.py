@@ -323,6 +323,18 @@ def test_act_refuses_keys_relabeled_onto_one(monkeypatch):
         act(Permutation((2, 1, 3)), e)
 
 
+def test_coefficient_refuses_a_key_of_the_other_basis():
+    """coefficient refuses a key of the other basis as the constructor does."""
+    with pytest.raises(ValueError, match=r"^expansion keys must be SetPartition, got Partition\("):
+        h(_sp((1, 2), (3,))).coefficient(Partition((2, 1)))
+    with pytest.raises(ValueError, match=r"^expansion keys must be SetPartition, got Partition\("):
+        NCExpansion({Partition((2, 1)): 1})
+    with pytest.raises(ValueError, match=r"^expansion keys must be Partition, got SetPartition\("):
+        sym.h(Partition((2, 1))).coefficient(_sp((1, 2), (3,)))
+    with pytest.raises(ValueError, match=r"^expansion keys must be Partition, got SetPartition\("):
+        sym.SymExpansion({_sp((1, 2), (3,)): 1})
+
+
 def test_nc_inexact_coefficients_rejected():
     with pytest.raises(ValueError):
         NCExpansion({_sp((1,)): 0.1})

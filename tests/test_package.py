@@ -162,6 +162,15 @@ def test_value_is_the_one_equality_and_hash_but_for_skew_diagrams():
     assert {"__eq__", "__hash__"} <= vars(SkewDiagram).keys()
 
 
+def test_parts_types_share_one_check_size_and_length():
+    """_Parts holds the parts check, size and length; Partition only adds
+    its weakly-decreasing check."""
+    parts_types = (Composition, WeakComposition, Partition)
+    for cls in parts_types:
+        assert not {"size", "length"} & vars(cls).keys(), cls
+    assert [cls for cls in parts_types if "__init__" in vars(cls)] == [Partition]
+
+
 def test_value_defaults_and_normal_forms():
     assert Composition() == Composition(parts=()) and Composition().parts == ()
     assert WeakComposition() == WeakComposition(()) and Partition() == Partition(())

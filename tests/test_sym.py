@@ -30,18 +30,18 @@ def test_expansion_shell():
 
 
 def test_collect_sums_drops_zeros_and_keeps_first_appearance():
-    """The expansion builders merge through _collect, which deletes zeros
-    in place and copies only to make Fractions of other coefficients: a
-    repeated key is summed at its first place, a zero, given or summed, is
-    dropped, and every coefficient comes out a Fraction."""
+    """The expansion builders merge Fraction coefficients through _collect,
+    which deletes zeros in place: a repeated key is summed at its first
+    place, a zero, given or summed, is dropped, and key order is kept."""
     half = Fraction(1, 2)
-    pairs = [((2, 1), 1), ((3,), half), ((2, 1), -1), ((1, 1, 1), 0), ((3,), 2), ((2, 1), 3)]
-    got = _collect(pairs)
+    one, two, three, zero = Fraction(1), Fraction(2), Fraction(3), Fraction(0)
+    got = _collect(
+        [((2, 1), one), ((3,), half), ((2, 1), -one), ((1, 1, 1), zero), ((3,), two), ((2, 1), three)]
+    )
     assert list(got.items()) == [((2, 1), 3), ((3,), Fraction(5, 2))]
-    assert all(type(coeff) is Fraction for coeff in got.values())
-    got = _collect([((3,), half), ((2, 1), Fraction(1)), ((3,), -half), ((1, 1, 1), Fraction(0))])
+    got = _collect([((3,), half), ((2, 1), one), ((3,), -half), ((1, 1, 1), zero)])
     assert list(got.items()) == [((2, 1), 1)]
-    assert _collect([((1,), 0)]) == {} and _collect([]) == {}
+    assert _collect([((1,), zero)]) == {} and _collect([]) == {}
     assert not h(Partition((2, 1))).scaled(0)
     assert not SymExpansion({Partition((2, 1)): 0})
 

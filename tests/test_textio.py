@@ -29,6 +29,40 @@ def test_partition_round_trip():
         textio.parse_partition("1,2")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (textio.parse_composition, " ", "empty composition"),
+        (textio.parse_composition, "2,0", "composition parts must be positive integers, got (2, 0)"),
+        (textio.parse_partition, "", "empty partition"),
+        (textio.parse_partition, "2,0", "partition parts must be positive integers, got (2, 0)"),
+        (textio.parse_partition, "1,2", "partition parts must weakly decrease, got (1, 2)"),
+    ],
+)
+def test_parts_parse_errors_name_the_type(parse, text, message):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
+def test_partitions_are_parsed_without_compositions(monkeypatch):
+    built = []
+    build = Composition.__init__
+
+    def spy(self, parts=()):
+        built.append(parts)
+        build(self, parts)
+
+    monkeypatch.setattr(Composition, "__init__", spy)
+    assert textio.parse_composition("2,1").parts == (2, 1) and built == [(2, 1)]
+    built.clear()
+    assert textio.parse_partition("0") == Partition(())
+    assert textio.parse_partition("3,1") == Partition((3, 1))
+    assert textio.parse_diagram("3,2/1") == SkewDiagram(Partition((3, 2)), Partition((1,)))
+    assert textio.parse_diagram("2,1") == SkewDiagram(Partition((2, 1)))
+    assert built == []
+
+
 def test_parenthesized():
     assert textio.format_parenthesized((0, 1, 0)) == "(0,1,0)"
     assert textio.format_parenthesized(()) == "()"
