@@ -2,13 +2,16 @@
 
 Exit codes: 0 for success (including NOT-EQUAL verdicts and passing
 verification runs), 1 for domain errors (invalid shapes, size mismatches,
-disconnected input, failed verification) and for a sweep that could not
-finish (an expansion without its row-blocks key), 2 for parse errors.
+disconnected input, a diagram of more than textio.CELL_CAP cells, failed
+verification), for a sweep that could not finish (an expansion without its
+row-blocks key) and for a reader that closed standard output early (`| head`),
+which ends the output with nothing on stderr, 2 for parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -140,61 +143,59 @@ def _cmd_show(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it:
-    building it costs far more than parsing one command line."""
-    parser = argparse.ArgumentParser(
-        prog="ncskew",
-        description="Skew Schur functions in noncommuting variables and their equality classification.",
+def _add_format(p) -> None:
+    p.add_argument(
+        "--format",
+        choices=("plain", "machine"),
+        default="plain",
+        help="machine prints one coeff<TAB>key line per term",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=("plain", "machine"),
-            default="plain",
-            help="machine prints one coeff<TAB>key line per term",
-        )
 
-    p = sub.add_parser("expand", help="h-expansion of a commutative skew Schur function")
+def _add_labeled_pair(p) -> None:
+    p.add_argument("perm1")
+    p.add_argument("diagram1")
+    p.add_argument("perm2")
+    p.add_argument("diagram2")
+
+
+def _define_expand(p) -> None:
     p.add_argument("diagram")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("expand-nc", help="h-expansion of a labeled skew Schur function in NCSym")
+
+def _define_expand_nc(p) -> None:
     p.add_argument("--source", action="store_true", help="use the source labeling")
     p.add_argument("args", nargs="+", metavar="ARG")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_expand_nc)
 
-    p = sub.add_parser("equal", help="compare two labeled expansions directly")
-    p.add_argument("perm1")
-    p.add_argument("diagram1")
-    p.add_argument("perm2")
-    p.add_argument("diagram2")
+
+def _define_equal(p) -> None:
+    _add_labeled_pair(p)
     p.set_defaults(func=_cmd_equal)
 
-    p = sub.add_parser("classify", help="classification verdict for two labeled diagrams")
-    p.add_argument("perm1")
-    p.add_argument("diagram1")
-    p.add_argument("perm2")
-    p.add_argument("diagram2")
+
+def _define_classify(p) -> None:
+    _add_labeled_pair(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("overlap", help="k-row overlap composition and partition")
+
+def _define_overlap(p) -> None:
     p.add_argument("diagram")
     p.add_argument("k", type=_ascii_int)
     p.set_defaults(func=_cmd_overlap)
 
-    p = sub.add_parser("rho", help="let the variables of a labeled expansion commute")
+
+def _define_rho(p) -> None:
     p.add_argument("perm")
     p.add_argument("diagram")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_rho)
 
-    p = sub.add_parser("verify", help="exhaustively confront predicate and oracle at size n")
+
+def _define_verify(p) -> None:
     p.add_argument("n", type=_ascii_int)
     p.add_argument(
         "--force",
@@ -203,16 +204,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("show", help="ASCII picture of a diagram")
+
+def _define_show(p) -> None:
     p.add_argument("diagram")
     p.set_defaults(func=_cmd_show)
 
+
+# Each subcommand's help line and the function that defines its arguments,
+# in the order the root parser's help lists them.
+_COMMANDS = {
+    "expand": ("h-expansion of a commutative skew Schur function", _define_expand),
+    "expand-nc": ("h-expansion of a labeled skew Schur function in NCSym", _define_expand_nc),
+    "equal": ("compare two labeled expansions directly", _define_equal),
+    "classify": ("classification verdict for two labeled diagrams", _define_classify),
+    "overlap": ("k-row overlap composition and partition", _define_overlap),
+    "rho": ("let the variables of a labeled expansion commute", _define_rho),
+    "verify": ("exhaustively confront predicate and oracle at size n", _define_verify),
+    "show": ("ASCII picture of a diagram", _define_show),
+}
+
+
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser, with every subcommand, built on the first call and
+    shared after it.  `main` uses it only for a command line that does not
+    start with a subcommand's name (no arguments, -h, an option or an
+    unknown command first) or that its subcommand's parser leaves
+    arguments of; every other line goes to `_command_parser` alone, which
+    builds one subcommand instead of all of them."""
+    parser = argparse.ArgumentParser(
+        prog="ncskew",
+        description="Skew Schur functions in noncommuting variables and their equality classification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, define) in _COMMANDS.items():
+        define(sub.add_parser(name, help=help_text))
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand name alone, built on its first use and
+    shared after it.  Its arguments, usage, errors and help are those of the
+    root parser's subparser of that name."""
+    parser = argparse.ArgumentParser(prog=f"ncskew {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    # The root parser again names any leftover arguments in its own error.
+    return build_parser().parse_args(argv)
+
+
+def _run(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -223,6 +274,23 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code."""
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        # A reader that stopped early (`| head`) fails this flush, inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush writes nowhere instead of printing a second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -179,7 +179,17 @@ def format_diagram(d: SkewDiagram) -> str:
     return f"{outer}/{format_partition(d.inner)}"
 
 
+# The most cells a diagram read from text may have.  An n-cell row expands
+# in NCSym to 1/n! h[1...n], and Python converts ints of at most 4,300 digits
+# to text by default: 1558! has 4,300 digits and 1559! has 4,303.  The cap
+# keeps such coefficients printable and a diagram's rows few.
+CELL_CAP = 1000
+
+
 def parse_diagram(text: str) -> SkewDiagram:
+    """The diagram of text; ParseError for malformed text, ValueError for
+    well-formed text naming no diagram or one of more than CELL_CAP cells,
+    refused before the diagram is built."""
     text = text.strip()
     if not text:
         raise ParseError("empty diagram")
@@ -188,6 +198,10 @@ def parse_diagram(text: str) -> SkewDiagram:
     outer_text, _, inner_text = text.partition("/")
     outer = parse_partition(outer_text)
     inner = parse_partition(inner_text) if inner_text.strip() else Partition(())
+    # The message leaves the count out: a sum of parts can pass the digits
+    # that str() converts.
+    if outer.size - inner.size > CELL_CAP:
+        raise ValueError(f"the diagram has more cells than the cap of {CELL_CAP}")
     return SkewDiagram(outer, inner)
 
 

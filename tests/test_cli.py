@@ -1,14 +1,17 @@
+import argparse
 import hashlib
+import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ncskew import classify, sym, textio
+from ncskew import classify, cli, sym, textio
 from ncskew.cli import main
 from ncskew.compositions import Partition
-from ncskew.diagrams import connected_diagrams
+from ncskew.diagrams import SkewDiagram, connected_diagrams
 from ncskew.ncsym import h
 from ncskew.permutations import Permutation
 from ncskew.setpartitions import SetPartition
@@ -213,6 +216,66 @@ def test_a_number_too_long_to_read_is_a_parse_error(capsys):
         assert "sys.set_int_max_str_digits" not in err
 
 
+# One more cell than the cap, in one row and a second row of one.
+OVER_CAP = f"{textio.CELL_CAP},1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["show", OVER_CAP],
+        ["expand", OVER_CAP],
+        ["expand-nc", "--source", OVER_CAP],
+        ["expand-nc", "id", OVER_CAP],
+        ["equal", "id", OVER_CAP, "id", "1"],
+        ["classify", "id", OVER_CAP, "id", "1"],
+        ["rho", "id", OVER_CAP],
+        ["overlap", OVER_CAP, "1"],
+    ],
+)
+def test_a_diagram_above_the_cell_cap_is_refused(capsys, monkeypatch, argv):
+    """Every command refuses a diagram of more than CELL_CAP cells at once,
+    with one error line naming the cap and exit code 1, before any
+    SkewDiagram is built."""
+    built = []
+    original = SkewDiagram.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkewDiagram, "__init__", spy)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, built) == (1, "", [])
+    assert err == f"error: the diagram has more cells than the cap of {textio.CELL_CAP}\n"
+
+
+def test_a_row_at_the_cell_cap_prints_its_coefficient(capsys):
+    """The cap is sized so that 1/n!, the coefficient of an n-cell row,
+    prints within Python's default limit on converting ints to text."""
+    cap = textio.CELL_CAP
+    code, out, err = run(capsys, "expand-nc", "--source", str(cap), "--format", "machine")
+    assert (code, err) == (0, "")
+    assert out == f"1/{math.factorial(cap)}\t{','.join(map(str, range(1, cap + 1)))}\n"
+
+
+def test_a_reader_that_stops_early_ends_the_output_quietly():
+    """`expand-nc --format machine --source 1^16 | head -1`: the 32,768
+    lines pass a 64 KB pipe buffer, so ncskew writes to a closed pipe; it
+    exits 1 with nothing on stderr."""
+    column = ",".join(["1"] * 16)
+    argv = [sys.executable, "-m", "ncskew", "expand-nc", "--format", "machine", "--source", column]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert first == b"1\t1/2/3/4/5/6/7/8/9/10/11/12/13/14/15/16\n"
+    assert err == b""
+
+
 def test_verify_seven_runs_without_force(capsys):
     code, out, _ = run(capsys, "verify", "7")
     assert code == 0
@@ -304,6 +367,78 @@ def test_consecutive_calls_share_no_state(capsys):
     assert (code, out, err) == (0, "1\t2,1\n-1\t3\n", "")
     code, out, _ = run(capsys, "expand", "2,1")
     assert (code, out) == (0, "h[2,1] - h[3]\n")
+
+
+# Command lines that main parses with the named command's parser alone,
+# and others that go to the root parser.
+DISPATCH_TABLE = [
+    ["expand", "2,1"],
+    ["expand", "2,1", "--format", "machine"],
+    ["expand-nc", "--source", "2,1"],
+    ["expand-nc", "321", "2,2/1", "--format", "machine"],
+    ["expand-nc", "--sou", "2,1"],
+    ["expand-nc", "--format", "xml", "--source", "2,1"],
+    ["equal", "id", "2,1", "321", "2,2/1"],
+    ["classify", "id", "2,1", "123", "2,2/1"],
+    ["classify", "id", "2,1"],
+    ["overlap", "5,5,4,4,2/4,3,3,1", "3"],
+    ["overlap", "2,1"],
+    ["rho", "321", "2,2/1"],
+    ["verify", "3"],
+    ["verify", "12"],
+    ["verify", "3", "--jobs", "2"],
+    ["verify"],
+    ["verify", "-h"],
+    ["show", "--", "2,2/1"],
+    ["show", "2,1", "--"],
+    ["show", "2,1", "2,1"],
+    ["expand-nc", "-h"],
+    ["expand", "--help"],
+    ["frobnicate"],
+    ["--format", "machine", "expand", "2,1"],
+    [],
+    ["--help"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=" ".join)
+def test_dispatch_matches_the_root_parser(capsys, monkeypatch, argv):
+    """Every command line gives the stdout, stderr and exit code that
+    parsing it with the root parser gives."""
+    dispatched = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert dispatched == run(capsys, *argv)
+
+
+def test_command_parsers_have_the_root_parsers_help(capsys):
+    """Each command's own parser prints the help that the root parser
+    prints for that command."""
+    for name in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([name, "--help"])
+        assert cli._command_parser(name).format_help() == capsys.readouterr().out
+
+
+def test_only_the_named_parser_is_built(capsys, monkeypatch):
+    """A command line that starts with a command builds that command's
+    parser and no other, and not the root parser."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.prog)
+
+    def root():
+        raise AssertionError("build_parser called")
+
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.setattr(cli, "build_parser", root)
+    code, out, err = run(capsys, "verify", "3")
+    assert (code, err, out.splitlines()[-1]) == (0, "", "PASS")
+    assert built == ["ncskew verify"]
 
 
 def test_help_exits_zero(capsys):

@@ -32,7 +32,7 @@ def test_no_assert_statements_in_package():
 
 
 def test_caches_are_bounded():
-    for cached in (ncsym.source_skew_schur, ncsym._composition_term, cli.build_parser):
+    for cached in (ncsym.source_skew_schur, ncsym._composition_term, cli.build_parser, cli._command_parser):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, cached.__name__
 

@@ -153,6 +153,16 @@ def test_diagram_round_trip():
         textio.parse_diagram("1/2")
 
 
+def test_diagram_cell_cap_counts_cells_not_parts():
+    """The cap counts the cells outer minus inner, so a wide skew shape of
+    CELL_CAP cells reads, and one more cell is refused."""
+    cap = textio.CELL_CAP
+    assert textio.parse_diagram(f"{cap + 5}/5").size == cap
+    assert textio.parse_diagram(",".join(["1"] * cap)).size == cap
+    with pytest.raises(ValueError, match=f"more cells than the cap of {cap}$"):
+        textio.parse_diagram(f"{cap + 5},1/5")
+
+
 def test_rational_round_trip():
     for q in (Fraction(0), Fraction(5), Fraction(-1, 6), Fraction(7, 3)):
         assert textio.parse_rational(textio.format_rational(q)) == q
