@@ -291,11 +291,11 @@ class _Entry(Value):
 
     Every key block is a union of atoms, so Y fixes E_D.  The row blocks
     are a key of E_D, with coefficient 1/prod r_i!, as the term of w has
-    subscripts A[i, w(i)] with A[i, i] = r_i > 0 and each row of A strictly
-    increasing, so the identity is the only term whose nonzero subscripts
-    are the row lengths; _entry checks that key for every diagram.  So
-    every row block is a union of atoms too, Y keeps each row block, and
-    condition 3 cannot tell sigma y from sigma.
+    subscripts A[i, w(i)] of A = D.jt_subscripts(), with A[i, i] = r_i > 0
+    and each row of A strictly increasing, so the identity is the only
+    term whose nonzero subscripts are the row lengths; _entry checks that
+    key for every diagram.  So every row block is a union of atoms too, Y
+    keeps each row block, and condition 3 cannot tell sigma y from sigma.
 
     classes groups the atoms by their key (size, colour), sorted by key,
     and fingerprint is that grouping's shape, ((key, number of atoms), ...).

@@ -26,61 +26,13 @@ def _padded(inner: tuple[int, ...], length: int) -> tuple[int, ...]:
 
 
 def _count_terms(starts: list[int]) -> int:
-    """How many determinant terms have no negative subscript, given the
-    first column of each row's nonnegative suffix (see term_count)."""
+    """How many determinant terms have no negative subscript, given each
+    row's suffix start (see SkewDiagram.term_count)."""
     ell = len(starts)
     count = 1
     for i, start in enumerate(starts):
         count *= max(0, ell - start - (ell - 1 - i))
     return count
-
-
-class SubscriptMatrix(Value):
-    """The square matrix of Jacobi-Trudi subscripts of a skew diagram.
-
-    Entry (i, j) is outer_i - inner_j - i + j with 1-based indices and inner
-    padded with zeros.  Entries can be negative; those index nothing and
-    kill the corresponding determinant terms.
-
-    The matrix is rank-one shifted, entry (i, j) = (outer_i - i) + (j - inner_j),
-    so every row strictly increases and its nonnegative entries form a
-    suffix of the columns; outer_i - i strictly decreases down the rows, so
-    these suffixes shrink going down.
-
-    The matrix is for display and for checking against the ell! permutations;
-    the expansions do not build it.  They read the one walk over its
-    surviving terms, SkewDiagram.surviving_terms, which takes the row and
-    column parts straight from the diagram and gives each term's nonzero
-    subscripts in row order.
-    """
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based access, entry(1, 1) is the top left."""
-        return self.entries[i - 1][j - 1]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.dimension))
-
-    def term_count(self) -> int:
-        """How many determinant terms have no negative subscript.
-
-        Each row strictly increases, so its nonnegative entries are the
-        columns from bisect_left(row, 0) on.  Placing rows bottom up, the
-        row with k rows below it may take any column of its suffix except
-        the k already used, all of which lie in its suffix because the
-        suffixes shrink going down.
-
-        >>> SkewDiagram(Partition((1, 1, 1))).jt_subscripts().term_count()
-        4
-        """
-        return _count_terms([bisect_left(row, 0) for row in self.entries])
 
 
 class SkewDiagram(Value):
@@ -224,17 +176,48 @@ class SkewDiagram(Value):
             return Partition(())
         return self.overlap_composition(k).to_partition()
 
-    def jt_subscripts(self) -> SubscriptMatrix:
-        """The matrix of Jacobi-Trudi subscripts of the diagram.
+    def _jt_parts(self) -> tuple[list[int], list[int], list[int]]:
+        """The row parts, the column parts and each row's suffix start of
+        the Jacobi-Trudi subscripts, read from the diagram.
 
-        >>> SkewDiagram(Partition((2, 2)), Partition((1,))).jt_subscripts().entries
+        Entry (i, j) of the subscript matrix is outer_i - inner_j - i + j
+        with 1-based indices and inner padded with zeros.  It is rank-one
+        shifted: the row part outer_i - i plus the column part j - inner_j.
+        The column parts strictly increase, so every row strictly increases
+        and its nonnegative entries are the columns from its suffix start,
+        bisect_left(column parts, -(row part)), on.  The row parts strictly
+        decrease, so these suffixes shrink going down.
+        """
+        lam = self.outer.parts
+        row_parts = [l - i for i, l in enumerate(lam, 1)]
+        column_parts = [j - m for j, m in enumerate(_padded(self.inner.parts, len(lam)), 1)]
+        return row_parts, column_parts, [bisect_left(column_parts, -r) for r in row_parts]
+
+    def jt_subscripts(self) -> tuple[tuple[int, ...], ...]:
+        """The square matrix of Jacobi-Trudi subscripts, as a tuple of rows.
+
+        Entries can be negative; those index nothing and kill the
+        corresponding determinant terms.  The matrix is for display and for
+        checking against the ell! permutations; the expansions do not build
+        it, they read surviving_terms.
+
+        >>> SkewDiagram(Partition((2, 2)), Partition((1,))).jt_subscripts()
         ((1, 3), (0, 2))
         """
-        lam, mu = self.outer.parts, self.inner.parts
-        # entry (i, j) = (outer_i - i) + (j - inner_j), 1-based
-        row_parts = [l - i for i, l in enumerate(lam, 1)]
-        column_parts = [j - m for j, m in enumerate(_padded(mu, len(lam)), 1)]
-        return SubscriptMatrix(tuple(tuple(r + c for c in column_parts) for r in row_parts))
+        row_parts, column_parts, _ = self._jt_parts()
+        return tuple(tuple(r + c for c in column_parts) for r in row_parts)
+
+    def term_count(self) -> int:
+        """How many Jacobi-Trudi determinant terms have no negative subscript.
+
+        Placing rows bottom up, the row with k rows below it may take any
+        column of its suffix (see _jt_parts) except the k already used, all
+        of which lie in its suffix because the suffixes shrink going down.
+
+        >>> SkewDiagram(Partition((1, 1, 1))).term_count()
+        4
+        """
+        return _count_terms(self._jt_parts()[2])
 
     def surviving_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """The Jacobi-Trudi determinant terms with no negative subscript,
@@ -243,28 +226,22 @@ class SkewDiagram(Value):
         h_0 = 1) and sign(w).  This is the one determinant walk: sym.skew_schur
         and ncsym._jacobi_trudi both expand it.
 
-        Entry (i, j) is the row part outer_i - i plus the column part
-        j - inner_j, read from the diagram without building the matrix.
-        The column parts strictly increase, so row i's nonnegative entries
-        are the columns from bisect_left(column parts, -(row part)) on, and
-        these suffixes shrink going down.  Columns are assigned from the
-        bottom row up, and since every row's suffix contains the suffixes of
-        the rows below it, each partial assignment extends to a full one:
-        the work grows with the number of terms, not with the ell!
-        permutations.  Placing a column flips the sign once per used column
-        to its left, one inversion each.
+        Entry (i, j) is the row part plus the column part (see _jt_parts),
+        read from the diagram without building the matrix.  Columns are
+        assigned from the bottom row up, and since every row's suffix
+        contains the suffixes of the rows below it, each partial assignment
+        extends to a full one: the work grows with the number of terms, not
+        with the ell! permutations.  Placing a column flips the sign once
+        per used column to its left, one inversion each.
 
-        Raises ValueError when there are more than EXPANSION_TERM_CAP terms,
-        before any term is built.
+        Raises ValueError when there are more than EXPANSION_TERM_CAP terms
+        (term_count), before any term is built.
 
         >>> sorted(SkewDiagram(Partition((2, 1))).surviving_terms())
         [((2, 1), 1), ((3,), -1)]
         """
-        lam = self.outer.parts
-        ell = len(lam)
-        row_parts = [l - i for i, l in enumerate(lam, 1)]
-        column_parts = [j - m for j, m in enumerate(_padded(self.inner.parts, ell), 1)]
-        starts = [bisect_left(column_parts, -r) for r in row_parts]
+        row_parts, column_parts, starts = self._jt_parts()
+        ell = len(starts)
         count = _count_terms(starts)
         if count > EXPANSION_TERM_CAP:
             raise ValueError(

@@ -216,6 +216,19 @@ def test_a_number_too_long_to_read_is_a_parse_error(capsys):
         assert "sys.set_int_max_str_digits" not in err
 
 
+def _spy_on_diagrams(monkeypatch):
+    """The argument tuples of every SkewDiagram built from now on."""
+    built = []
+    original = SkewDiagram.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkewDiagram, "__init__", spy)
+    return built
+
+
 # One more cell than the cap, in one row and a second row of one.
 OVER_CAP = f"{textio.CELL_CAP},1"
 
@@ -237,19 +250,42 @@ def test_a_diagram_above_the_cell_cap_is_refused(capsys, monkeypatch, argv):
     """Every command refuses a diagram of more than CELL_CAP cells at once,
     with one error line naming the cap and exit code 1, before any
     SkewDiagram is built."""
-    built = []
-    original = SkewDiagram.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(SkewDiagram, "__init__", spy)
+    built = _spy_on_diagrams(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out, built) == (1, "", [])
     assert err == f"error: the diagram has more cells than the cap of {textio.CELL_CAP}\n"
+
+
+# Two cells, in columns CELL_CAP + 1 apart.
+OVER_WIDTH = f"{textio.CELL_CAP + 1},1/{textio.CELL_CAP}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["show", OVER_WIDTH],
+        ["expand", OVER_WIDTH],
+        ["overlap", OVER_WIDTH, "1"],
+        ["expand-nc", "--source", OVER_WIDTH],
+    ],
+)
+def test_a_diagram_wider_than_the_cap_is_refused(capsys, monkeypatch, argv):
+    """A disconnected diagram of few cells but more than CELL_CAP columns,
+    whose rows show pads to its width, is refused like one of too many
+    cells, before any SkewDiagram is built."""
+    built = _spy_on_diagrams(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, built) == (1, "", [])
+    assert err == f"error: the diagram is wider than the cap of {textio.CELL_CAP} columns\n"
+
+
+def test_a_diagram_as_wide_as_the_cap_is_shown(capsys):
+    cap = textio.CELL_CAP
+    code, out, err = run(capsys, "show", f"{cap},1/{cap - 1}")
+    assert (code, err) == (0, "")
+    assert out == "." * (cap - 1) + "#\n#" + "." * (cap - 1) + "\n"
 
 
 def test_a_row_at_the_cell_cap_prints_its_coefficient(capsys):

@@ -47,7 +47,6 @@ VALUES = [
     (lambda: Composition((1, 2)), "Composition(parts=(1, 2))"),
     (lambda: WeakComposition((0, 2)), "WeakComposition(parts=(0, 2))"),
     (lambda: Partition((2, 1)), "Partition(parts=(2, 1))"),
-    (lambda: HOOK.jt_subscripts(), "SubscriptMatrix(entries=((2, 3), (0, 1)))"),
     (lambda: HOOK, "SkewDiagram(outer=Partition(parts=(2, 1)), inner=Partition(parts=()))"),
     (lambda: SetPartition(((1, 3), (2,))), "SetPartition(blocks=((1, 3), (2,)))"),
     (lambda: Permutation((2, 1)), "Permutation(images=(2, 1))"),
@@ -144,7 +143,6 @@ def test_values_of_one_class_with_other_fields_differ():
         (Composition((1, 2)), Composition((2, 1))),
         (WeakComposition((0, 2)), WeakComposition((2, 0))),
         (Partition((2, 1)), Partition((2, 1, 1))),
-        (HOOK.jt_subscripts(), ROTATED.jt_subscripts()),
         (SetPartition(((1, 3), (2,))), SetPartition(((1, 2), (3,)))),
         (Permutation((2, 1)), Permutation((1, 2))),
         (LabeledDiagram(Permutation((3, 1, 2)), HOOK), LabeledDiagram(Permutation((1, 2, 3)), HOOK)),

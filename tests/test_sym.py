@@ -103,7 +103,7 @@ def _oracle_terms(d):
     subscript matrix whose subscripts A[i, w(i)] are all nonnegative: the
     key is the nonzero subscripts sorted, since h_0 = 1.  Taking the k-th
     smallest free column adds k inversions."""
-    entries = d.jt_subscripts().entries
+    entries = d.jt_subscripts()
     ell = len(entries)
 
     def place(i, free, subs, sign):

@@ -163,6 +163,26 @@ def test_diagram_cell_cap_counts_cells_not_parts():
         textio.parse_diagram(f"{cap + 5},1/5")
 
 
+def test_diagram_width_cap_reads_the_basic_form():
+    """The cap also bounds the width of the basic form, the outer's first
+    part minus the inner part on the last row; malformed shapes still get
+    SkewDiagram's own errors."""
+    cap = textio.CELL_CAP
+    assert textio.parse_diagram(f"{cap + 5},6/{cap + 4},5").outer.parts == (cap, 1)
+    assert textio.parse_diagram(f"{cap},1/{cap - 1}").outer.parts == (cap, 1)
+    with pytest.raises(ValueError, match=f"wider than the cap of {cap} columns$"):
+        textio.parse_diagram(f"{cap + 1},1/{cap}")
+    with pytest.raises(ValueError, match=f"wider than the cap of {cap} columns$"):
+        textio.parse_diagram(f"{cap + 6},6/{cap + 5},5")
+    for malformed, message in [
+        (f"{cap + 2}/1,1,1", "does not fit"),
+        (f"{cap + 2},1/{cap + 3}", "does not fit"),
+        (f"{cap + 2},2,1/2,2,1", "empty row"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            textio.parse_diagram(malformed)
+
+
 def test_rational_round_trip():
     for q in (Fraction(0), Fraction(5), Fraction(-1, 6), Fraction(7, 3)):
         assert textio.parse_rational(textio.format_rational(q)) == q
