@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import math
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -153,12 +155,65 @@ def test_diagram_parse_errors_name_partitions(capsys):
         assert err == f"error: {message}\n", args
 
 
-def test_verify(capsys):
+# PINNED[n - 1] is the pinned stdout of `ncskew verify n`, for n = 1..12:
+# three lines each, one blank line between blocks.  The CI workflow reads
+# sizes 6 to 12 from the same file.
+VERIFY_REPORTS = pathlib.Path(__file__).with_name("verify_reports.txt").read_text()
+PINNED = [block + "\n" for block in VERIFY_REPORTS.removesuffix("\n").split("\n\n")]
+REPORT = re.compile(
+    r"size (\d+): (\d+) diagrams, (\d+) ordered pairs, (\d+) coset checks, "
+    r"(\d+) agreements, 0 disagreements\n"
+    r"same-diagram: (\d+) checks, (\d+) equal, (\d+) meeting the block condition\n"
+    r"PASS\n"
+)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9, 10))]
+)
+def test_verify_prints_the_pinned_report(capsys, n):
+    code, out, _ = run(capsys, "verify", str(n))
+    assert (code, out) == (0, PINNED[n - 1])
+
+
+def test_pinned_reports_are_passing_sweeps_of_sizes_1_to_12():
+    """Each block is a passing report whose counts obey the identities of
+    a sweep over c diagrams of size n, so a typo in the blocks only CI
+    runs, 11 and 12, fails here too."""
+    assert "\n".join(PINNED) == VERIFY_REPORTS
+    assert len(PINNED) == 12
+    for size, block in enumerate(PINNED, 1):
+        match = REPORT.fullmatch(block)
+        assert match, block
+        n, c, pairs, checks, agreements, same, equal, condition = map(int, match.groups())
+        assert n == size
+        assert pairs == c * (c - 1), n
+        assert checks == agreements == c * c * math.factorial(n), n
+        assert same == c * math.factorial(n), n
+        assert equal >= condition, n
+
+
+def test_verify_prints_each_disagreement_and_fails(capsys, monkeypatch):
+    """With condition 3 sending each row block onto itself, the predicate
+    is wrong on both rotation pairs of size 3: verify prints each
+    disagreeing labeling as `n pair_index sigma predicted observed`, then
+    FAIL, and exits 1."""
+    monkeypatch.setattr(classify, "_row_target", lambda block, n: block)
     code, out, _ = run(capsys, "verify", "3")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("size 3: 4 diagrams, 12 ordered pairs")
-    assert lines[-1] == "PASS"
+    assert code == 1
+    assert out == (
+        "size 3: 4 diagrams, 12 ordered pairs, 96 coset checks, 88 agreements, 8 disagreements\n"
+        "same-diagram: 24 checks, 12 equal, 11 meeting the block condition\n"
+        "3 6 123 true false\n"
+        "3 6 132 true false\n"
+        "3 6 312 false true\n"
+        "3 6 321 false true\n"
+        "3 9 123 true false\n"
+        "3 9 213 true false\n"
+        "3 9 231 false true\n"
+        "3 9 321 false true\n"
+        "FAIL\n"
+    )
 
 
 def test_verify_has_no_jobs_flag(capsys):
@@ -312,12 +367,6 @@ def test_a_reader_that_stops_early_ends_the_output_quietly():
     assert err == b""
 
 
-def test_verify_seven_runs_without_force(capsys):
-    code, out, _ = run(capsys, "verify", "7")
-    assert code == 0
-    assert out.splitlines()[-1] == "PASS"
-
-
 def test_expand_nc_tall_column(capsys):
     code, out, _ = run(capsys, "expand-nc", "--source", ",".join(["1"] * 14), "--format", "machine")
     assert code == 0
@@ -340,6 +389,7 @@ def test_exit_codes(capsys):
     # parse error
     code, _, err = run(capsys, "expand", "abc")
     assert code == 2
+    assert run(capsys, "show", "") == (2, "", "error: empty diagram\n")
     # labeling of the wrong size
     code, _, _ = run(capsys, "expand-nc", "12", "2,1")
     assert code == 1
@@ -370,7 +420,7 @@ def test_non_ascii_digits_are_not_counts(capsys):
     """int() reads "٣" as 3, and "1_0", "+4" and " 4" too, but the counts
     of verify and overlap take the ASCII digits only, with argparse's
     message for a bad int: exit code 2, nothing run.  ASCII text int()
-    refuses keeps that same message."""
+    refuses, a count of 5,000 digits included, keeps that same message."""
     for args, name, token in (
         (("verify", "٣"), "n", "٣"),
         (("overlap", "2,1", "١"), "k", "١"),
@@ -380,6 +430,7 @@ def test_non_ascii_digits_are_not_counts(capsys):
         (("verify", " 4"), "n", " 4"),
         (("verify", "-3"), "n", "-3"),
         (("overlap", "2,1", "0_1"), "k", "0_1"),
+        (("verify", "7" * 5000), "n", "7" * 5000),
     ):
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, ""), args

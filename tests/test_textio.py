@@ -37,6 +37,10 @@ def test_partition_round_trip():
         (textio.parse_partition, "", "empty partition"),
         (textio.parse_partition, "2,0", "partition parts must be positive integers, got (2, 0)"),
         (textio.parse_partition, "1,2", "partition parts must weakly decrease, got (1, 2)"),
+        (textio.parse_set_partition, "", "empty set partition"),
+        (textio.parse_set_partition, "1//2", "empty block in set partition: '1//2'"),
+        (textio.parse_diagram, "  ", "empty diagram"),
+        (textio.parse_nc_expansion, "2*x[1]", "not an h term: '2*x[1]'"),
     ],
 )
 def test_parts_parse_errors_name_the_type(parse, text, message):
@@ -100,6 +104,9 @@ def test_permutation_round_trip():
         textio.parse_permutation("id")
     with pytest.raises(ParseError):
         textio.parse_permutation("121")
+    # past 9 points the images are comma-separated, as verify prints them at n >= 10
+    for text in ("10,9,8,7,6,5,4,3,2,1", "2,1,4,3,6,5,8,7,10,9,12,11"):
+        assert textio.format_permutation(textio.parse_permutation(text)) == text
 
 
 def test_non_ascii_digits_are_parse_errors():
