@@ -154,10 +154,7 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
     condition, so sufficiency can be asserted exhaustively while its
     converse is only observed.
     """
-    if not d.is_connected():
-        raise ValueError("diagram must be connected")
-    if sigma.size != d.size:
-        raise ValueError(f"labeling size {sigma.size} differs from diagram size {d.size}")
+    LabeledDiagram(sigma, d)  # refuses a size mismatch or a disconnected d
     src = source_skew_schur(d)
     entry = _entry(d, src)
     return SameDiagramVerdict(
@@ -172,8 +169,8 @@ def count_equivalent(d: SkewDiagram) -> int:
     classification says the answer is the factorial product of the row
     lengths.  _observed yields one sigma per right coset of the Young
     subgroup of d's atoms, so the count is theirs times its order."""
-    partner = _rotation_partner(d)
-    if not d.is_connected() or partner is None:
+    partner = _rotation_partner(d)  # None for a disconnected d: no ribbon
+    if partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
     first = _entry(d, source_skew_schur(d))
     second = _entry(partner, source_skew_schur(partner))

@@ -7,8 +7,9 @@ decreasing.  Operations that need positivity reject weak input instead of
 silently dropping zeros.  Parts must be ints proper: a bool, an int
 subclass, is refused rather than printed as True or False.
 
-The three share _Parts's one parts check, size and length; each names its
-least part and its refusal, and Partition adds its weakly-decreasing check.
+The three share _Parts's one parts check, size, length and factorial; each
+names its least part and its refusal, and Partition adds its
+weakly-decreasing check.
 """
 
 from __future__ import annotations
@@ -19,20 +20,8 @@ from typing import Iterable, Iterator
 from .value import Value
 
 
-def _dominates(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    """Partial-sum comparison up to the shorter length."""
-    total_left = 0
-    total_right = 0
-    for a, b in zip(left, right):
-        total_left += a
-        total_right += b
-        if total_left < total_right:
-            return False
-    return True
-
-
 class _Parts:
-    """The parts check, size and length of the three types below."""
+    """The parts check, size, length and factorial of the three types below."""
 
     __slots__ = ()
     _least: int
@@ -55,6 +44,14 @@ class _Parts:
     def length(self) -> int:
         return len(self.parts)
 
+    def factorial(self) -> int:
+        """Product of the factorials of the parts.
+
+        >>> Composition((1, 2, 1, 3, 2)).factorial()
+        24
+        """
+        return prod(factorial(p) for p in self.parts)
+
 
 class Composition(_Parts, Value):
     """A finite sequence of positive integers, possibly empty.
@@ -74,14 +71,6 @@ class Composition(_Parts, Value):
         Partition(parts=(3, 2, 2, 1, 1))
         """
         return Partition(tuple(sorted(self.parts, reverse=True)))
-
-    def factorial(self) -> int:
-        """Product of the factorials of the parts.
-
-        >>> Composition((1, 2, 1, 3, 2)).factorial()
-        24
-        """
-        return prod(factorial(p) for p in self.parts)
 
     def reverse(self) -> Composition:
         """The parts read right to left."""
@@ -106,11 +95,6 @@ class Composition(_Parts, Value):
                     merged.append(self.parts[i + 1])
             out.append(Composition(tuple(merged)))
         return out
-
-    def dominates(self, other: Composition) -> bool:
-        """True if every leading partial sum of self is at least other's,
-        compared up to the shorter length."""
-        return _dominates(self.parts, other.parts)
 
 
 class WeakComposition(_Parts, Value):
@@ -158,9 +142,6 @@ class Partition(_Parts, Value):
         object.__setattr__(key, "parts", parts)
         return key
 
-    def factorial(self) -> int:
-        return prod(factorial(p) for p in self.parts)
-
     def contains(self, other: Partition) -> bool:
         """True if other fits inside self part by part."""
         if other.length > self.length:
@@ -168,8 +149,15 @@ class Partition(_Parts, Value):
         return all(o <= s for s, o in zip(self.parts, other.parts))
 
     def dominates(self, other: Partition) -> bool:
-        """Dominance comparison by leading partial sums."""
-        return _dominates(self.parts, other.parts)
+        """Dominance comparison by leading partial sums, up to the shorter
+        length."""
+        total_self = total_other = 0
+        for a, b in zip(self.parts, other.parts):
+            total_self += a
+            total_other += b
+            if total_self < total_other:
+                return False
+        return True
 
     def to_composition(self) -> Composition:
         return Composition(self.parts)

@@ -41,10 +41,6 @@ class SetPartition(Value):
     def size(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def _trusted(cls, blocks: Blocks) -> SetPartition:
         """Wrap blocks already in canonical form, skipping validation."""

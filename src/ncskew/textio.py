@@ -183,15 +183,16 @@ def format_diagram(d: SkewDiagram) -> str:
 # in NCSym to 1/n! h[1...n], and Python converts ints of at most 4,300 digits
 # to text by default: 1558! has 4,300 digits and 1559! has 4,303.  The cap
 # keeps such coefficients printable and a diagram's rows few.  It also caps
-# the basic form's width, which show pads every row to and which a
+# the built diagram's width, which show pads every row to and which a
 # connected diagram within the cell cap never exceeds.
 CELL_CAP = 1000
 
 
 def parse_diagram(text: str) -> SkewDiagram:
     """The diagram of text; ParseError for malformed text, ValueError for
-    well-formed text naming no diagram or one of more than CELL_CAP cells
-    or columns, refused before the diagram is built."""
+    well-formed text naming no diagram, one of more than CELL_CAP cells
+    (refused before the diagram is built) or one wider than CELL_CAP
+    columns."""
     text = text.strip()
     if not text:
         raise ParseError("empty diagram")
@@ -204,14 +205,10 @@ def parse_diagram(text: str) -> SkewDiagram:
     # that str() converts.
     if outer.size - inner.size > CELL_CAP:
         raise ValueError(f"the diagram has more cells than the cap of {CELL_CAP}")
-    # The basic form drops the inner part on the last row.  A malformed
-    # shape is left to SkewDiagram's own errors.
-    lam, mu = outer.parts, inner.parts
-    offset = mu[-1] if lam and len(mu) == len(lam) else 0
-    wide = lam and lam[0] - offset > CELL_CAP
-    if wide and len(mu) <= len(lam) and all(l > m for l, m in zip(lam, mu)):
+    d = SkewDiagram(outer, inner)
+    if d.outer.parts[0] > CELL_CAP:
         raise ValueError(f"the diagram is wider than the cap of {CELL_CAP} columns")
-    return SkewDiagram(outer, inner)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,8 @@ def test_count_equivalent_rejects_bad_input():
         count_equivalent(SkewDiagram(Partition((1, 1))))  # symmetric ribbon
     with pytest.raises(ValueError):
         count_equivalent(SkewDiagram(Partition((2, 2))))  # not a ribbon
+    with pytest.raises(ValueError):
+        count_equivalent(SkewDiagram(Partition((2, 1)), Partition((1,))))  # disconnected
 
 
 def test_the_public_verdicts_read_the_expansion_cache(monkeypatch):
@@ -222,11 +224,11 @@ def test_same_diagram_condition_is_not_necessary():
 
 
 def test_same_diagram_validation():
-    with pytest.raises(ValueError):
-        same_diagram_verdict(Permutation((2, 1)), HOOK)  # size mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labeling size 2 differs from diagram size 3"):
+        same_diagram_verdict(Permutation((2, 1)), HOOK)
+    with pytest.raises(ValueError, match="labeled diagrams must be connected"):
         same_diagram_verdict(
-            Permutation.identity(3), SkewDiagram(Partition((2, 1)), Partition((1,)))
+            Permutation.identity(2), SkewDiagram(Partition((2, 1)), Partition((1,)))
         )
 
 

@@ -329,11 +329,13 @@ OVER_WIDTH = f"{textio.CELL_CAP + 1},1/{textio.CELL_CAP}"
 def test_a_diagram_wider_than_the_cap_is_refused(capsys, monkeypatch, argv):
     """A disconnected diagram of few cells but more than CELL_CAP columns,
     whose rows show pads to its width, is refused like one of too many
-    cells, before any SkewDiagram is built."""
+    cells once the parser has built it and read its width, and no other
+    SkewDiagram is built."""
     built = _spy_on_diagrams(monkeypatch)
     code, out, err = run(capsys, *argv)
-    assert (code, out, built) == (1, "", [])
-    assert err == f"error: the diagram is wider than the cap of {textio.CELL_CAP} columns\n"
+    cap = textio.CELL_CAP
+    assert (code, out, built) == (1, "", [(Partition((cap + 1, 1)), Partition((cap,)))])
+    assert err == f"error: the diagram is wider than the cap of {cap} columns\n"
 
 
 def test_a_diagram_as_wide_as_the_cap_is_shown(capsys):

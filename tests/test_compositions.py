@@ -46,6 +46,8 @@ def test_counts_are_powers_of_two():
     for n in range(1, 9):
         assert sum(1 for _ in compositions(n)) == 2 ** (n - 1)
     assert [c.parts for c in compositions(0)] == [()]
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        list(compositions(-1))
 
 
 def test_compositions_are_distinct_and_sum_to_n():

@@ -326,6 +326,8 @@ def test_connected_diagrams_against_shape_pairs():
 def test_connected_counts():
     for n, expected in enumerate(CONNECTED_COUNTS, start=1):
         assert sum(1 for _ in connected_diagrams(n)) == expected
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        connected_diagrams(0)
 
 
 def test_connected_diagrams_are_basic():

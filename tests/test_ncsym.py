@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial, prod
 
@@ -215,6 +216,28 @@ def test_truncation_product_is_slash():
                 for sg in set_partitions(total - k):
                     left = monomial_truncation(pi, 3) * monomial_truncation(sg, 3)
                     assert left == monomial_truncation(pi.slash(sg), 3)
+
+
+def test_truncation_refusals():
+    with pytest.raises(ValueError, match="need at least one variable"):
+        ncsym.MonomialTruncation(0, 1, {})
+    with pytest.raises(ValueError, match="truncations use different variable counts"):
+        monomial_truncation(_sp((1,)), 2) * monomial_truncation(_sp((1,)), 3)
+
+
+def test_truncation_refuses_no_variables_before_the_walk():
+    """monomial_truncation refuses 0 variables before walking the 12!
+    permutations of a one-block 12-point partition, not after."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="need at least one variable"):
+        monomial_truncation(_sp(range(1, 13)), 0)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_truncation_equality_and_repr():
+    t = monomial_truncation(_sp((1,)), 2)
+    assert (t == 1) is False
+    assert repr(t) == "MonomialTruncation(variables=2, length=1, terms=2)"
 
 
 def test_truncation_separates_basis():

@@ -161,11 +161,13 @@ def test_value_is_the_one_equality_and_hash_but_for_skew_diagrams():
 
 
 def test_parts_types_share_one_check_size_and_length():
-    """_Parts holds the parts check, size and length; Partition only adds
-    its weakly-decreasing check."""
+    """_Parts holds the parts check, size, length and factorial; Partition
+    only adds its weakly-decreasing check."""
     parts_types = (Composition, WeakComposition, Partition)
     for cls in parts_types:
-        assert not {"size", "length"} & vars(cls).keys(), cls
+        assert not {"size", "length", "factorial"} & vars(cls).keys(), cls
+    assert len({cls.factorial for cls in parts_types}) == 1
+    assert WeakComposition((0, 2)).factorial() == 2
     assert [cls for cls in parts_types if "__init__" in vars(cls)] == [Partition]
 
 

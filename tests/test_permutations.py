@@ -76,6 +76,8 @@ def test_bar():
 def test_act_on_set_partition():
     sigma = Permutation((3, 2, 1))
     assert sigma.act(SetPartition(((1, 2), (3,)))) == SetPartition(((2, 3), (1,)))
+    with pytest.raises(ValueError, match="permutation and set partition sizes differ"):
+        Permutation((2, 1)).act(SetPartition(((1, 2), (3,))))
     # the action is a group action: (ab).pi = a.(b.pi)
     for a in symmetric_group(3):
         for b in symmetric_group(3):
@@ -94,6 +96,8 @@ def test_preserves_blocks():
     pi = SetPartition(((1, 2), (3,)))
     assert Permutation((2, 1, 3)).preserves_blocks(pi)
     assert not Permutation((1, 3, 2)).preserves_blocks(pi)
+    with pytest.raises(ValueError, match="permutation and set partition sizes differ"):
+        Permutation((2, 1)).preserves_blocks(pi)
     # sigma preserves every block iff it fixes the partition and each block
     for sigma in symmetric_group(4):
         for pi in set_partitions(4):
@@ -105,3 +109,5 @@ def test_preserves_blocks():
 
 def test_itertools_order():
     assert [p.images for p in symmetric_group(3)] == list(iterperms((1, 2, 3)))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        list(symmetric_group(-1))

@@ -35,6 +35,8 @@ def test_validation():
 def test_counts_are_bell_numbers():
     for n, expected in enumerate(BELL):
         assert sum(1 for _ in set_partitions(n)) == expected
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        list(set_partitions(-1))
 
 
 def test_enumeration_is_duplicate_free():

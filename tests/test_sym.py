@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import chain
 
@@ -5,6 +6,7 @@ import pytest
 
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
+from ncskew.ncsym import NCExpansion
 from ncskew.sym import (
     SymExpansion,
     h,
@@ -14,6 +16,17 @@ from ncskew.sym import (
     _collect,
     skew_schur,
 )
+
+
+def test_sym_and_nc_expansions_do_not_mix():
+    """Equality is False, and + and * raise TypeError, between the two
+    expansion types, even when both are zero."""
+    sym_zero, nc_zero = SymExpansion(), NCExpansion()
+    assert (sym_zero == nc_zero) is False
+    for op in (operator.add, operator.mul):
+        for a, b in ((sym_zero, nc_zero), (nc_zero, sym_zero)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_expansion_shell():
