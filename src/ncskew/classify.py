@@ -32,6 +32,9 @@ keys through `relabel_keys`, which sorts each distinct block's image once
 per call and forgets it when the call returns.  Both premises hold by
 construction (see _Entry), and the fact the second rests on, that the row
 blocks are a key of the source expansion, is checked for every diagram.
+A rotation pair's prediction is one coset sigma_0 Y(rows): a ribbon's keys
+are the coarsenings of its rows, so its atoms are its rows, and the sweep
+refuses to go on if they are not.
 
 The sweep finds every sigma with act(sigma, E_D) == E_T by matching
 atoms, one round of the colour refinement that starts partition backtrack
@@ -235,44 +238,30 @@ def _young_order(pieces: Blocks) -> int:
     return prod(factorial(len(piece)) for piece in pieces)
 
 
-def _spread(values: tuple[int, ...], pieces: Blocks) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every way to deal the values out to the pieces, each piece getting
-    as many as it holds, in increasing order."""
-    if len(pieces) == 1:
-        yield (values,)
-        return
-    for chosen in itertools.combinations(values, len(pieces[0])):
-        rest = tuple(v for v in values if v not in chosen)
-        for tail in _spread(rest, pieces[1:]):
-            yield (chosen,) + tail
-
-
-def _representatives(blocks: Blocks, targets: Blocks, atoms: Blocks) -> set[tuple[int, ...]]:
-    """The sigma mapping each block onto its target, one per right coset of
-    the Young subgroup of the atoms, which refine the blocks: the sigma
-    increasing on every atom.  A block's pieces are the atoms whose first
-    point lies in it, which are the atoms inside it, as the atoms refine
-    every block the sweep and _coset hand in.  Each block's target is
-    dealt over its pieces by _spread, and the product over the blocks is
-    taken; the targets are disjoint, so no target is taken twice."""
-    flat = itertools.chain.from_iterable
-    atom_at = {atom[0]: atom for atom in atoms}
-    pieces = [[atom_at[x] for x in block if x in atom_at] for block in blocks]
-    points = list(flat(flat(pieces)))
-    found = set()
-    images = [0] * len(points)
-    for dealt in itertools.product(*map(_spread, targets, pieces)):
-        for x, v in zip(points, flat(flat(dealt))):
-            images[x - 1] = v
-        found.add(tuple(images))
-    return found
+def _predicted(first: _Entry, n: int) -> tuple[int, ...]:
+    """sigma_0, the representative of the one coset sigma_0 Y(rows) that
+    condition 3 predicts for first and its rotation: the row blocks, the
+    consecutive intervals of 1..n, mapped onto their _row_target in order.
+    Raises RuntimeError if first's atoms are not its rows, as sigma_0 would
+    then stand for only part of the prediction."""
+    if first.atoms != first.rows:
+        raise RuntimeError(f"the atoms of the ribbon {first.diagram} are not its rows")
+    return tuple(itertools.chain.from_iterable(_row_target(block, n) for block in first.rows))
 
 
 def _coset(images: tuple[int, ...], pieces: Blocks) -> set[tuple[int, ...]]:
     """Every sigma y with y in the Young subgroup of the pieces, for sigma
-    given by its images: the sigma mapping each piece where sigma does."""
-    targets = tuple(tuple(sorted(images[x - 1] for x in piece)) for piece in pieces)
-    return _representatives(pieces, targets, tuple((x,) for x in range(1, len(images) + 1)))
+    given by its images: every way to map each piece onto its image under
+    sigma, the product over the pieces of the orderings of each image."""
+    points = tuple(itertools.chain.from_iterable(pieces))
+    orderings = (itertools.permutations([images[x - 1] for x in piece]) for piece in pieces)
+    found = set()
+    sigma_y = [0] * len(images)
+    for arranged in itertools.product(*orderings):
+        for x, v in zip(points, itertools.chain.from_iterable(arranged)):
+            sigma_y[x - 1] = v
+        found.add(tuple(sigma_y))
+    return found
 
 
 class _Entry(Value):
@@ -293,6 +282,8 @@ class _Entry(Value):
     term whose nonzero subscripts are the row lengths; _entry checks that
     key for every diagram.  So every row block is a union of atoms too, Y
     keeps each row block, and condition 3 cannot tell sigma y from sigma.
+    A ribbon's keys are the coarsenings of its rows, so its atoms are its
+    rows, which _predicted checks on every rotation pair.
 
     classes groups the atoms by their key (size, colour), sorted by key,
     and fingerprint is that grouping's shape, ((key, number of atoms), ...).
@@ -414,20 +405,20 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
     only its bucket mates and its rotation partner, whatever the partner's
     bucket, so no pair meeting conditions 1 and 2 is skipped on the
     strength of the fingerprint.  _observed yields the observed sigma, and
-    it is the only place relabels_to decides one.  _representatives gives
-    the predicted sigma: on a rotation pair those mapping each row block
-    onto its _row_target; on every other pair none.  The disagreements are
-    then predicted ^ observed, and every other labeling agrees.
+    it is the only place relabels_to decides one.  _predicted gives the
+    predicted sigma: on a rotation pair sigma_0, for the one coset
+    sigma_0 Y(rows); on every other pair none.  The disagreements are then
+    predicted ^ observed, and every other labeling agrees.
 
     Both sets are unions of right cosets sigma Y, for Y the Young subgroup
     of the first diagram's atoms, one subgroup per row, and both verdicts
     are constant on each coset (see _Entry).  Each set holds one
     representative per coset, the sigma increasing on every atom, which
     counts |Y| times; a disagreeing one is expanded back into its coset by
-    _coset, so the report is the one a sigma by sigma sweep gives.  Row
-    blocks are unions of atoms, so both sets pick the same representative
-    of a coset, and the set algebra on representatives is the set algebra
-    on the cosets.
+    _coset, so the report is the one a sigma by sigma sweep gives.  A
+    rotation pair's first diagram is a ribbon, whose atoms are its rows
+    (see _Entry), so sigma_0 increases on every atom as _observed's sigma
+    do, and the set algebra on representatives is that on the cosets.
     """
     n = entries[0].diagram.size
     count = len(entries)
@@ -441,11 +432,7 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
         same_equal += sum(1 for _ in _observed(first, first)) * _young_order(first.atoms)
         rotation = index.get(first.partner)
         for j in sorted({*buckets[first.fingerprint], rotation} - {i, None}):
-            if j == rotation:
-                targets = tuple(_row_target(block, n) for block in first.rows)
-                predicted = _representatives(first.rows, targets, first.atoms)
-            else:
-                predicted = set()
+            predicted = {_predicted(first, n)} if j == rotation else set()
             for images in predicted ^ set(_observed(first, entries[j])):
                 hit = images in predicted
                 disagreements.extend(
@@ -465,8 +452,10 @@ def verify_exhaustive(n: int, jobs: int = 1, prune: bool = False) -> Verificatio
     condition, which map each atom onto itself, so there are |Y| of them
     per diagram, for Y the Young subgroup of its atoms.  Each sigma the
     oracle can accept is generated and decided by it, one per right coset
-    of Y, which stands for its whole coset.  The predicted cosets are
-    built, not decided, and the disagreements are their symmetric
+    of Y, which stands for its whole coset.  A rotation pair's one
+    predicted coset, sigma_0 Y(rows), is built from its ribbon's rows,
+    which are its atoms, as its keys are the coarsenings of its rows
+    (RuntimeError if not), and the disagreements are its symmetric
     difference with the accepted ones (see _verify_rows); every other sigma
     agrees, both sides being false.  A pair that fails conditions 1 and 2
     and whose fingerprints, the shapes of their (size, colour) atom

@@ -249,6 +249,8 @@ class MonomialTruncation:
 
     def __mul__(self, other: MonomialTruncation) -> MonomialTruncation:
         """Concatenation product of words."""
+        if not isinstance(other, MonomialTruncation):
+            return NotImplemented
         if self.variables != other.variables:
             raise ValueError("truncations use different variable counts")
         counts: dict[tuple[int, ...], int] = {}

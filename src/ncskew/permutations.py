@@ -51,6 +51,8 @@ class Permutation(Value):
 
     def __mul__(self, other: Permutation) -> Permutation:
         """(self * other)(j) = self(other(j))."""
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if self.size != other.size:
             raise ValueError("cannot compose permutations of different sizes")
         return Permutation(tuple(self.images[v - 1] for v in other.images))

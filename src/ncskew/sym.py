@@ -136,6 +136,8 @@ class Expansion:
         return self._from_raw(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + other.scaled(-1)
 
     def scaled(self, c: Coefficient):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncskew import classify, ncsym, sym
+from ncskew import classify, cli, ncsym, sym
 from ncskew.compositions import Composition, Partition, compositions
 from ncskew.diagrams import SkewDiagram, connected_diagrams, ribbon
 from ncskew.ncsym import NCExpansion, h, skew_schur, source_skew_schur, to_commutative
@@ -712,9 +712,7 @@ def test_right_multiplication_convention():
     Permutation's product, and relabeling by it is relabeling by y, then by
     sigma.  So y fixing every key of E_D makes sigma y relabel E_D as sigma
     does, and _coset yields exactly the sigma y with y in the pieces' Young
-    subgroup.  _representatives yields, by brute force over S_4, exactly
-    the sigma mapping each block onto its target that increase on every
-    atom, one per right coset of the atoms' Young subgroup."""
+    subgroup."""
     perms = list(symmetric_group(4))
     partitions = [pi.blocks for pi in set_partitions(4)]
     for sigma in perms:
@@ -730,23 +728,6 @@ def test_right_multiplication_convention():
             coset = list(classify._coset(sigma.images, pieces))
             assert len(coset) == len(young) == classify._young_order(pieces)
             assert set(coset) == expected
-    for blocks, targets, atoms in (
-        (((1, 2), (3, 4)), ((3, 4), (1, 2)), ((1, 2), (3,), (4,))),
-        (((1, 2, 3), (4,)), ((2, 3, 4), (1,)), ((1,), (2, 3), (4,))),
-        (((1, 3), (2, 4)), ((2, 4), (1, 3)), ((1, 3), (2,), (4,))),
-        (((1, 2, 3, 4),), ((1, 2, 3, 4),), ((1, 2), (3, 4))),
-        (((1,), (2, 3, 4)), ((4,), (1, 2, 3)), ((1,), (2,), (3,), (4,))),
-    ):
-        expected = {
-            sigma.images
-            for sigma in perms
-            if all(sorted(sigma(x) for x in b) == list(t) for b, t in zip(blocks, targets))
-            and all(sigma(a) < sigma(b) for atom in atoms for a, b in zip(atom, atom[1:]))
-        }
-        found = classify._representatives(blocks, targets, atoms)
-        assert found == expected, (blocks, targets, atoms)
-        whole = math.prod(math.factorial(len(b)) for b in blocks)
-        assert len(found) * classify._young_order(atoms) == whole
     for n in range(1, 9):
         for e in _table(n):
             for atom in e.atoms:
@@ -755,6 +736,53 @@ def test_right_multiplication_convention():
                     swap[a - 1], swap[b - 1] = b, a
                     for key in e.expansion.support():
                         assert relabel(tuple(swap), key.blocks) == key.blocks
+
+
+def test_the_predicted_coset_is_the_predicate_set():
+    """For every nonsymmetric ribbon d with n <= 6 and T its rotation
+    labeled by the identity, the coset of sigma_0 = _predicted over the rows
+    is exactly the set of sigma for which the predicate accepts
+    (sigma, d) against (id, T).  It has prod r_i! elements, which is
+    count_equivalent(d), and sigma_0 increases on each row."""
+    for n in range(1, 7):
+        perms = list(symmetric_group(n))
+        for e in _table(n):
+            if e.partner is None:
+                continue
+            target = LabeledDiagram(Permutation.identity(n), e.partner)
+            accepted = {
+                sigma.images
+                for sigma in perms
+                if failing_condition(LabeledDiagram(sigma, e.diagram), target) is None
+            }
+            sigma_0 = classify._predicted(e, n)
+            assert classify._coset(sigma_0, e.rows) == accepted, e.diagram
+            assert len(accepted) == e.diagram.row_lengths().factorial()
+            assert len(accepted) == count_equivalent(e.diagram)
+            for row in e.rows:
+                images = [sigma_0[x - 1] for x in row]
+                assert images == sorted(images), (e.diagram, row)
+
+
+def test_a_ribbon_whose_atoms_are_not_its_rows_is_refused(monkeypatch, capsys):
+    """The sweep predicts sigma_0 alone only because a ribbon's atoms are
+    its rows.  With the all-singletons key added to every ribbon's
+    expansion the atoms are the points, and the sweep refuses to go on:
+    verify_exhaustive raises RuntimeError, and verify exits 1 with one
+    error line and nothing on stdout."""
+    expand = ncsym._jacobi_trudi
+
+    def with_singletons(d):
+        singletons = h(SetPartition(tuple((x,) for x in range(1, d.size + 1))))
+        return expand(d) + singletons if d.is_ribbon() else expand(d)
+
+    monkeypatch.setattr(classify, "_jacobi_trudi", with_singletons)
+    with pytest.raises(RuntimeError, match="are not its rows"):
+        verify_exhaustive(3)
+    assert cli.main(["verify", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the atoms of the ribbon {ROTATED!r} are not its rows\n"
 
 
 def test_every_atom_lies_in_one_row_block():

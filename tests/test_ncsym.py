@@ -218,6 +218,11 @@ def test_truncation_product_is_slash():
                     assert left == monomial_truncation(pi.slash(sg), 3)
 
 
+def test_truncation_times_a_number_raises_type_error():
+    with pytest.raises(TypeError):
+        monomial_truncation(_sp((1,)), 2) * 2
+
+
 def test_truncation_refusals():
     with pytest.raises(ValueError, match="need at least one variable"):
         ncsym.MonomialTruncation(0, 1, {})

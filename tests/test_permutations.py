@@ -41,6 +41,16 @@ def test_call_and_composition():
         a * Permutation((1, 2))
 
 
+def test_composing_with_a_number_raises_type_error():
+    with pytest.raises(TypeError):
+        Permutation((2, 1)) * 2
+
+
+def test_composing_with_a_set_partition_raises_type_error():
+    with pytest.raises(TypeError):
+        Permutation((2, 1)) * SetPartition(((1,), (2,)))
+
+
 def test_group_axioms_small():
     for n in range(5):
         e = Permutation.identity(n)

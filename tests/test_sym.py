@@ -19,14 +19,19 @@ from ncskew.sym import (
 
 
 def test_sym_and_nc_expansions_do_not_mix():
-    """Equality is False, and + and * raise TypeError, between the two
+    """Equality is False, and +, - and * raise TypeError, between the two
     expansion types, even when both are zero."""
     sym_zero, nc_zero = SymExpansion(), NCExpansion()
     assert (sym_zero == nc_zero) is False
-    for op in (operator.add, operator.mul):
+    for op in (operator.add, operator.sub, operator.mul):
         for a, b in ((sym_zero, nc_zero), (nc_zero, sym_zero)):
             with pytest.raises(TypeError):
                 op(a, b)
+
+
+def test_subtracting_a_number_raises_type_error():
+    with pytest.raises(TypeError):
+        h(Partition((2, 1))) - 2
 
 
 def test_expansion_shell():
