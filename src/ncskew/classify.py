@@ -112,9 +112,11 @@ def failing_condition(a: LabeledDiagram, b: LabeledDiagram) -> int | None:
         return 1
     if b.diagram != partner:
         return 2
-    images = (b.labeling.inverse() * a.labeling).images
+    # The images of tau^-1 delta: each delta(x)'s place in tau, from 1.
+    images = tuple(map((0, *b.labeling.images).index, a.labeling.images))
+    n = d.size
     for block in interval_blocks(d.row_lengths().parts):
-        if tuple(sorted(images[x - 1] for x in block)) != _row_target(block, d.size):
+        if tuple(sorted(images[x - 1] for x in block)) != _row_target(block, n):
             return 3
     return None
 
@@ -395,9 +397,10 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
     report.
 
     A same-diagram row only counts: the sigma the oracle accepts, which
-    _observed yields, times |Y|.  It has nothing to report, as its block
-    condition holds exactly on Y and every key block is a union of atoms,
-    so Y(atoms) fixes E_D.
+    _observed yields, times |Y|; when every class is one atom, that is the
+    identity alone, counted without _observed.  It has nothing to report,
+    as its block condition holds exactly on Y and every key block is a
+    union of atoms, so Y(atoms) fixes E_D.
 
     A distinct pair that fails conditions 1 and 2 and whose fingerprints
     differ has no observed sigma and no predicted one, so all its labelings
@@ -429,7 +432,9 @@ def _verify_rows(entries: tuple[_Entry, ...]) -> tuple[int, list[Disagreement]]:
     same_equal = 0
     disagreements: list[Disagreement] = []
     for i, first in enumerate(entries):
-        same_equal += sum(1 for _ in _observed(first, first)) * _young_order(first.atoms)
+        shared = len(first.classes) < len(first.atoms)  # some class holds two atoms
+        observed = sum(1 for _ in _observed(first, first)) if shared else 1
+        same_equal += observed * _young_order(first.atoms)
         rotation = index.get(first.partner)
         for j in sorted({*buckets[first.fingerprint], rotation} - {i, None}):
             predicted = {_predicted(first, n)} if j == rotation else set()

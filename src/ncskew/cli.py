@@ -22,8 +22,8 @@ from .permutations import Permutation
 from .textio import ParseError
 
 # The largest n that `verify` runs without --force.  On a 2-vCPU VM with
-# Python 3.11, in two runs through the CLI, verify 11 took 0.9-1.3 s and
-# verify 12 3.1-3.3 s (peak RSS 64 MB); each further cell takes about three
+# Python 3.11, in two runs through the CLI, verify 11 took 0.6-0.7 s and
+# verify 12 1.8 s (peak RSS 64 MB); each further cell takes about three
 # times as long, and that host's speed swings by up to 2x.
 VERIFY_CAP = 11
 

@@ -38,6 +38,9 @@ def _count_terms(starts: list[int]) -> int:
 class SkewDiagram(Value):
     """A skew shape outer/inner with no empty rows, in basic form.
 
+    connected_diagrams and rotate, run on every diagram of a sweep, build
+    theirs with _trusted, as each is valid and basic by construction.
+
     >>> SkewDiagram(Partition((3, 2)), Partition((1, 1))) == SkewDiagram(Partition((2, 1)))
     True
     """
@@ -73,6 +76,14 @@ class SkewDiagram(Value):
     # 425 (expand) and 2,010 (queries) times and compares it 56, 120, 1 and
     # 3,382 times.  Both read the parts directly instead of going through
     # Value's generic methods once for the diagram and once per Partition.
+
+    @classmethod
+    def _trusted(cls, outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewDiagram:
+        """Wrap the parts of a valid shape in basic form, skipping validation."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "outer", Partition._trusted(outer))
+        object.__setattr__(d, "inner", Partition._trusted(inner))
+        return d
 
     def __eq__(self, other: object) -> bool:
         # outer and inner are always Partitions, so their parts decide.
@@ -131,12 +142,19 @@ class SkewDiagram(Value):
     def rotate(self) -> SkewDiagram:
         """The diagram turned by 180 degrees, renormalized.
 
+        A row on columns s..e lands on width+1-e .. width+1-s, rows in
+        reverse order.  The top row ends at the width, so the turn's bottom
+        row starts in column 1: the turn is already in basic form.
+
         >>> SkewDiagram(Partition((2, 1))).rotate() == SkewDiagram(Partition((2, 2)), Partition((1,)))
         True
         """
-        width = self.outer.parts[0]
-        flipped = ((width + 1 - e, width + 1 - s) for s, e in reversed(self.rows()))
-        return SkewDiagram.from_rows(flipped)
+        lam = self.outer.parts
+        width = lam[0]
+        return SkewDiagram._trusted(
+            tuple(width - m for m in reversed(_padded(self.inner.parts, len(lam)))),
+            tuple(width - l for l in reversed(lam) if l < width),
+        )
 
     def is_symmetric(self) -> bool:
         """True if the diagram equals its own rotation."""
@@ -307,20 +325,24 @@ def connected_diagrams(n: int) -> list[SkewDiagram]:
     Built as stacks of row intervals from the bottom row up: the bottom row
     starts in column 1 (that is what basic form means) and each row above
     must start and end no further left while sharing at least one column
-    with the row below.  Each diagram is produced exactly once.
+    with the row below.  Each diagram is produced exactly once, and is
+    built trusted: ends and starts weakly decrease down the rows, and every
+    row is nonempty, so both shapes are partitions in basic form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
     for alpha in compositions(n):
         parts = alpha.parts
-        stacks = [[(1, parts[-1])]]
+        stacks = [[(1, parts[-1])]]  # each stack's rows, top down
         for part in parts[-2::-1]:
-            grown = []
-            for stack in stacks:
-                below_start, below_end = stack[-1]
-                for start in range(max(below_start, below_end - part + 1), below_end + 1):
-                    grown.append(stack + [(start, start + part - 1)])
-            stacks = grown
-        out.extend(SkewDiagram.from_rows(stack[::-1]) for stack in stacks)
+            stacks = [
+                [(start, start + part - 1), *stack]
+                for stack in stacks
+                for start in range(max(stack[0][0], stack[0][1] - part + 1), stack[0][1] + 1)
+            ]
+        out.extend(
+            SkewDiagram._trusted(tuple(e for _, e in rows), tuple(s - 1 for s, _ in rows if s > 1))
+            for rows in stacks
+        )
     return out

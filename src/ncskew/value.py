@@ -17,7 +17,10 @@ counts.  Value's __init__ serves the types that neither validate nor are
 built in bulk; the others define their own, but for the parts types
 Composition, WeakComposition and Partition, which share the annotation of
 parts and the one parts check of compositions._Parts (Partition adds its
-weakly-decreasing check).
+weakly-decreasing check).  Partition, SetPartition and SkewDiagram also
+have _trusted, which skips validation for the values the program derives in
+bulk, valid by construction (a relabeled key, an enumerated or rotated
+diagram); every value from outside is validated.
 """
 
 from __future__ import annotations

@@ -34,6 +34,20 @@ def _table(n):
     return tuple(classify._entry(d) for d in connected_diagrams(n))
 
 
+def _relabels_to_calls(monkeypatch):
+    """Patch NCExpansion.relabels_to to record its arguments; return the
+    list each call is appended to."""
+    calls = []
+    relabels_to = NCExpansion.relabels_to
+
+    def counting_relabels_to(*args):
+        calls.append(args)
+        return relabels_to(*args)
+
+    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
+    return calls
+
+
 def test_labeled_diagram_validation():
     with pytest.raises(ValueError):
         LabeledDiagram(Permutation((1, 2)), HOOK)  # wrong size
@@ -311,6 +325,17 @@ def _refingerprint(monkeypatch, fingerprint):
     return entries
 
 
+def _shared_class_rows(diagrams):
+    """The same-diagram pairs (d, d) the sweep hands to _observed: those of
+    the diagrams with an atom class of more than one atom.  A row whose
+    classes are all single atoms counts |Y| without it."""
+    return [
+        (d, d)
+        for d in diagrams
+        if len((entry := classify._entry(d)).classes) < len(entry.atoms)
+    ]
+
+
 def _rotation_pairs(diagrams):
     """The (k, l) with diagrams[l] the rotation of the nonsymmetric ribbon
     diagrams[k]."""
@@ -374,7 +399,8 @@ def test_bucket_mates_that_are_not_a_rotation_pair(monkeypatch):
     """Every bucket of the real table up to size 12 is one diagram or a
     rotation pair, so this puts all 20 diagrams of size 5 in one bucket:
     the report does not change, and _observed is handed every one of the
-    400 ordered pairs once.  A pair of bucket mates that is not a rotation
+    380 distinct pairs once, and each same-diagram pair with an atom class
+    of more than one atom.  A pair of bucket mates that is not a rotation
     pair predicts no sigma, so when _observed also accepts the identity on
     each of those 368 pairs, the disagreements are exactly those pairs'
     identity cosets, each labeling observed and not predicted."""
@@ -392,7 +418,9 @@ def test_bucket_mates_that_are_not_a_rotation_pair(monkeypatch):
 
     monkeypatch.setattr(classify, "_observed", recording_observed)
     assert verify_exhaustive(n) == base
-    assert Counter(handed) == Counter(itertools.product(diagrams, repeat=2))
+    distinct = [(d, e) for d, e in itertools.product(diagrams, repeat=2) if d != e]
+    assert len(distinct) == 380
+    assert Counter(handed) == Counter(distinct + _shared_class_rows(diagrams))
 
     identity = tuple(range(1, n + 1))
 
@@ -455,8 +483,8 @@ def test_fingerprint_buckets_up_to_twelve():
 
 def test_sweep_visits_only_same_diagram_and_rotation_pairs(monkeypatch):
     """The fingerprint filter does its job in the sweep: for n <= 7 the
-    pairs handed to _observed are exactly the same-diagram pairs and the
-    rotation pairs."""
+    pairs handed to _observed are exactly the rotation pairs and the
+    same-diagram pairs with an atom class of more than one atom."""
     observed = classify._observed
     visited = []
 
@@ -470,7 +498,44 @@ def test_sweep_visits_only_same_diagram_and_rotation_pairs(monkeypatch):
         verify_exhaustive(n)
         diagrams = list(connected_diagrams(n))
         rotations = [(d, d.rotate()) for d in diagrams if d.is_ribbon() and not d.is_symmetric()]
-        assert Counter(visited) == Counter([(d, d) for d in diagrams] + rotations), n
+        assert Counter(visited) == Counter(_shared_class_rows(diagrams) + rotations), n
+
+
+def test_an_all_singleton_row_observes_only_the_identity(monkeypatch):
+    """A same-diagram row whose classes are all single atoms, which the
+    sweep counts without _observed, would get only the undecided identity
+    from it: for n <= 7, _observed(e, e) yields exactly the identity on
+    such a row, with no relabels_to call, and every size from 2 on has such
+    rows and rows with a larger class."""
+    calls = _relabels_to_calls(monkeypatch)
+    for n in range(1, 8):
+        table = _table(n)
+        singletons = [e for e in table if len(e.classes) == len(e.atoms)]
+        assert n == 1 or 0 < len(singletons) < len(table), n
+        for entry in singletons:
+            assert list(classify._observed(entry, entry)) == [tuple(range(1, n + 1))]
+    assert not calls
+
+
+def _sweep_decisions(monkeypatch, n):
+    """How many relabels_to calls verify_exhaustive(n) makes."""
+    calls = _relabels_to_calls(monkeypatch)
+    verify_exhaustive(n)
+    return len(calls)
+
+
+def test_the_sweep_decides_the_same_labelings(monkeypatch):
+    """The all-singleton shortcut skips no decision of the oracle: the
+    relabels_to calls of verify_exhaustive(n) for n = 1..8 are as many as
+    when every same-diagram row went through _observed."""
+    counts = [_sweep_decisions(monkeypatch, n) for n in range(1, 9)]
+    assert counts == [0, 1, 3, 9, 17, 43, 77, 181]
+
+
+@pytest.mark.slow
+def test_the_sweep_decides_the_same_labelings_at_ten(monkeypatch):
+    """README's count of the labelings verify 10 decides."""
+    assert _sweep_decisions(monkeypatch, 10) == 711
 
 
 def test_observed_decides_nothing_when_the_classes_differ(monkeypatch):
@@ -934,14 +999,7 @@ def test_rows_phase_deals_by_colour(monkeypatch):
     labelings to decide (77; 9,223 without colours, 182 deciding the
     identity): no same-diagram row decides the identity, and no labeling of
     a pair is decided twice."""
-    calls = []
-    relabels_to = NCExpansion.relabels_to
-
-    def counting_relabels_to(*args):
-        calls.append(args)
-        return relabels_to(*args)
-
-    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
+    calls = _relabels_to_calls(monkeypatch)
     report = verify_exhaustive(7)
     assert report.ok and report.same_diagram_equal == 9182
     assert len(calls) <= 100
@@ -1018,14 +1076,7 @@ def test_both_expansions_read_the_one_walk(monkeypatch):
 def test_building_the_table_decides_no_labeling(monkeypatch):
     """The atoms are read off the key blocks and the row-blocks key is
     looked up, not decided: building the table makes no relabels_to call."""
-    calls = []
-    relabels_to = NCExpansion.relabels_to
-
-    def counting_relabels_to(*args):
-        calls.append(args)
-        return relabels_to(*args)
-
-    monkeypatch.setattr(NCExpansion, "relabels_to", counting_relabels_to)
+    calls = _relabels_to_calls(monkeypatch)
     for n in range(1, 8):
         _table(n)
     assert not calls

@@ -121,6 +121,33 @@ def test_rotation():
             assert r.is_connected()
 
 
+def _shapes_in_a_box():
+    """The skew diagram of every valid (outer, inner) pair whose outer
+    shape fits a 5 x 5 box, connected or not: 7,666 pairs."""
+    box = [p for r in range(6) for p in combinations_with_replacement(range(5, 0, -1), r)]
+    for lam in box[1:]:
+        for mu in box:
+            if len(mu) > len(lam) or any(m >= l for m, l in zip(mu, lam)):
+                continue  # not contained, or an empty row
+            yield SkewDiagram(Partition(lam), Partition(mu))
+
+
+def test_rotation_matches_the_flipped_rows():
+    """rotate() builds its diagram without validating it again, so it must
+    give what from_rows gives for the rows turned by 180 degrees, for every
+    skew diagram, connected or not, whose outer shape fits a 5 x 5 box: the
+    same Partition parts, already in basic form."""
+    checked = 0
+    for d in _shapes_in_a_box():
+        width = d.outer.parts[0]
+        flipped = [(width + 1 - e, width + 1 - s) for s, e in reversed(d.rows())]
+        expected, r = SkewDiagram.from_rows(flipped), d.rotate()
+        assert type(r.outer) is type(r.inner) is Partition
+        assert (r.outer.parts, r.inner.parts) == (expected.outer.parts, expected.inner.parts), d
+        checked += 1
+    assert checked == 7666
+
+
 def test_symmetry():
     assert SkewDiagram(Partition((2, 2))).is_symmetric()
     assert ribbon(Composition((1, 2, 1))).is_symmetric()
@@ -179,16 +206,11 @@ def test_overlap_closed_form_matches_the_window_scan():
     """For every skew diagram, connected or not, whose outer shape fits a
     5 x 5 box, and every window size k, overlap_composition equals the
     scan of each window of rows."""
-    box = [p for r in range(6) for p in combinations_with_replacement(range(5, 0, -1), r)]
     checked = 0
-    for lam in box[1:]:
-        for mu in box:
-            if len(mu) > len(lam) or any(m >= l for m, l in zip(mu, lam)):
-                continue  # not contained, or an empty row
-            d = SkewDiagram(Partition(lam), Partition(mu))
-            for k in range(1, d.row_count + 1):
-                assert d.overlap_composition(k) == _overlap_by_windows(d, k), (lam, mu, k)
-                checked += 1
+    for d in _shapes_in_a_box():
+        for k in range(1, d.row_count + 1):
+            assert d.overlap_composition(k) == _overlap_by_windows(d, k), (d, k)
+            checked += 1
     assert checked == 35211
 
 
@@ -331,12 +353,18 @@ def test_connected_counts():
 
 
 def test_connected_diagrams_are_basic():
-    for n in range(1, 7):
+    """connected_diagrams builds its diagrams without validating them
+    again, so each must be what the validating constructor makes of its
+    shapes."""
+    for n in range(1, 10):
         for d in connected_diagrams(n):
             assert d.size == n
             assert d.is_connected()
             # basic form: reconstructing from the shapes changes nothing
             assert SkewDiagram(d.outer, d.inner) == d
+            assert type(d.outer) is type(d.inner) is Partition
+            # partitions, which SkewDiagram(d.outer, d.inner) takes on trust
+            assert Partition(d.outer.parts) == d.outer and Partition(d.inner.parts) == d.inner
             start, _ = d.rows()[-1]
             assert start == 1
 

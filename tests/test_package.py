@@ -189,6 +189,8 @@ def test_trusted_values_equal_validated_ones():
         (Partition._trusted((2, 1)), Partition((2, 1))),
         (Partition._trusted(()), Partition()),
         (SetPartition._trusted(((1, 3), (2,))), SetPartition(((3, 1), (2,)))),
+        (SkewDiagram._trusted((2, 1), ()), SkewDiagram(Partition((2, 1)))),
+        (SkewDiagram._trusted((2, 2), (1,)), SkewDiagram(Partition((3, 3)), Partition((2, 1)))),
     ]:
         assert trusted == validated and hash(trusted) == hash(validated)
         assert repr(trusted) == repr(validated)
