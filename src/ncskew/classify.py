@@ -30,8 +30,10 @@ constant on each right coset sigma Y, and one representative per coset is
 decided by relabels_to and counted |Y| times.  relabels_to relabels the
 keys through `relabel_keys`, which sorts each distinct block's image once
 per call and forgets it when the call returns.  Both premises hold by
-construction (see _Entry), and the fact the second rests on, that the row
-blocks are a key of the source expansion, is checked for every diagram.
+construction (see _Entry).  The fact the second rests on, that the row
+blocks are a key of the source expansion, follows from the lemma in
+SkewDiagram.surviving_terms, and is still checked for every diagram as a
+guard on the walk.
 A rotation pair's prediction is one coset sigma_0 Y(rows): a ribbon's keys
 are the coarsenings of its rows, so its atoms are its rows, and the sweep
 refuses to go on if they are not.
@@ -278,12 +280,12 @@ class _Entry(Value):
     block condition, and the subgroup the sweep works modulo.
 
     Every key block is a union of atoms, so Y fixes E_D.  The row blocks
-    are a key of E_D, with coefficient 1/prod r_i!, as the term of w has
-    subscripts A[i, w(i)] of A = D.jt_subscripts(), with A[i, i] = r_i > 0
-    and each row of A strictly increasing, so the identity is the only
-    term whose nonzero subscripts are the row lengths; _entry checks that
-    key for every diagram.  So every row block is a union of atoms too, Y
-    keeps each row block, and condition 3 cannot tell sigma y from sigma.
+    are a key of E_D, with coefficient 1/prod r_i!, for r_i the row
+    lengths: a corollary of the lemma in SkewDiagram.surviving_terms, as
+    the identity is a surviving term, whose key no other term shares.
+    _entry still checks that key for every diagram, as a guard on the
+    walk.  So every row block is a union of atoms too, Y keeps each row
+    block, and condition 3 cannot tell sigma y from sigma.
     A ribbon's keys are the coarsenings of its rows, so its atoms are its
     rows, which _predicted checks on every rotation pair.
 
@@ -321,7 +323,9 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
 
     Raises RuntimeError if the row blocks are not a key of E_D, as the
     sweep's quotient by the atoms, under which condition 3 and the
-    predicted sets must stay constant, rests on that key."""
+    predicted sets must stay constant, rests on that key.  The lemma in
+    SkewDiagram.surviving_terms proves the key is there, so only a broken
+    walk or expansion trips the check, which stays as a guard on them."""
     if src is None:
         src = _jacobi_trudi(d)
     rows = interval_blocks(d.row_lengths().parts)

@@ -3,7 +3,8 @@
 Exit codes: 0 for success (including NOT-EQUAL verdicts and passing
 verification runs), 1 for domain errors (invalid shapes, size mismatches,
 disconnected input, a diagram of more than textio.CELL_CAP cells or
-columns, failed verification), for a sweep that could not finish (an expansion without its
+columns, failed verification), for an expansion or a sweep that could not
+finish (a Jacobi-Trudi walk that meets a key twice, an expansion without its
 row-blocks key) and for a reader that closed standard output early (`| head`),
 which ends the output with nothing on stderr, 2 for parse errors.
 """

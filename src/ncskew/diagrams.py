@@ -252,6 +252,37 @@ class SkewDiagram(Value):
         with the ell! permutations.  Placing a column flips the sign once
         per used column to its left, one inversion each.
 
+        Lemma: no two surviving terms share a key, the interval set
+        partition of their nonzero subscripts in row order.  It holds for
+        every skew shape, as connectedness is never used.  Write A for
+        jt_subscripts(), r_i for the row parts, which strictly decrease, and
+        c_j for the column parts, which strictly increase, so A[i, j] =
+        r_i + c_j (see _jt_parts).  A key's block ends are the partial sums
+        of its term's nonzero subscripts, so the key of the term w fixes the
+        set of 0 and its partial sums P_k = A[1, w(1)] + ... + A[k, w(k)].
+        Let w != w' share a key, and let k be the first row where they
+        differ; both have P_(k-1) = p.  Row k of A strictly increases, so
+        their subscripts there differ, say a = A[k, w(k)] < a' = A[k, w'(k)].
+        p + a is a partial sum of w, so it is 0 or a partial sum of w'.  But
+        the partial sums of w' are at most p before row k and at least
+        p + a' from row k on, so a = 0.  So the column z = w(k) has
+        c_z = -r_k, and A[i, z] = r_i - r_k < 0 for every row i > k.  In
+        rows 1 .. k-1, w' takes the columns w takes, none of them z; in row
+        k it takes w'(k) != z; and no surviving term takes z below row k.
+        So w' leaves z unused and is not a permutation.
+
+        So no two terms cancel, and ncsym._jacobi_trudi has term_count()
+        keys; it raises RuntimeError if the walk meets a key twice, which
+        only a broken walk can do.  The identity survives, as A[i, i] is row
+        i's length, which is positive, so the row blocks are a key, with
+        coefficient 1/(product of the row lengths' factorials): the key
+        classify._entry checks for, as a guard on the walk.  Beside the
+        proof, one key per term was checked on every term of every connected
+        diagram with n <= 14 (4,186,721 terms at n = 14), and on every skew
+        shape, connected or not, with at most 5 rows and width at most 6:
+        18,423 shapes and 349,751 terms, with the zero-column step holding
+        at all 31,941 zero subscripts.
+
         Raises ValueError when there are more than EXPANSION_TERM_CAP terms
         (term_count), before any term is built.
 

@@ -121,15 +121,22 @@ def _jacobi_trudi(d: SkewDiagram) -> NCExpansion:
     ell!.  The term of w is sign(w) times h of the interval set partition
     with those consecutive block sizes, divided by the product of their
     factorials.  Terms with the same nonzero subscripts share one cached
-    key and coefficient (_composition_term); equal keys are still summed,
-    which no connected diagram with n <= 12 needs, and a key summing to
-    zero is dropped.  More than EXPANSION_TERM_CAP terms raise ValueError.
+    key and coefficient (_composition_term).  No two terms share a key
+    (the lemma in SkewDiagram.surviving_terms), so the expansion is built
+    straight from the walk, in walk order, with nothing to sum or drop; a
+    walk that meets a key twice is broken, and raises RuntimeError.  More
+    than EXPANSION_TERM_CAP terms raise ValueError.
     """
-    pairs = []
-    for subs, sign in d.surviving_terms():
+    walk = d.surviving_terms()
+    terms = {}
+    for subs, sign in walk:
         blocks, plus, minus = _composition_term(subs)
-        pairs.append((blocks, plus if sign > 0 else minus))
-    return NCExpansion._from_raw(pairs)
+        terms[blocks] = plus if sign > 0 else minus
+    if len(terms) != len(walk):
+        raise RuntimeError(f"the Jacobi-Trudi walk of {d} meets a key twice")
+    e = object.__new__(NCExpansion)
+    e._terms = terms
+    return e
 
 
 @lru_cache(maxsize=1024)
@@ -190,9 +197,11 @@ def to_commutative(e: NCExpansion) -> SymExpansion:
     denominator.  A term whose denominator equals the shape's adds its
     numerator; only a differing denominator cross-multiplies.  In a
     relabeled skew Schur function every key has coefficient +-1/(product of
-    the factorials of its shape), which depends on the shape alone, so the
-    denominators agree and stay that size, where cross-multiplying every
-    term would raise them to a power of the term count.  Each shape then
+    the factorials of its shape), as no two determinant terms share a key
+    (the lemma in SkewDiagram.surviving_terms), and relabeling keeps
+    coefficients.  That depends on the shape alone, so the denominators
+    agree and stay that size, where cross-multiplying every term would
+    raise them to a power of the term count.  Each shape then
     builds one Fraction, its numerator times the shape's factorial product
     over its denominator, and a shape whose numerator sums to zero is
     dropped.

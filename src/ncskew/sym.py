@@ -36,22 +36,13 @@ def _exact(coeff: object) -> Fraction:
 
 def _collect(pairs: Iterable[tuple[tuple, Fraction]]) -> dict[tuple, Fraction]:
     """Sum the Fraction coefficients of equal raw keys and drop zeros,
-    keeping the order in which the keys first appear.
-
-    A set partition key is a tuple of tuples, whose hash is recomputed at
-    every lookup and costs more than the rest of the merge.  So a key is
-    hashed once unless it repeats (setdefault, then a length check), and
-    zeros are deleted in place.  _exact made every coefficient a Fraction
-    at the constructor or at scaled, and _from_raw's callers pass Fractions."""
+    keeping the order in which the keys first appear.  _exact made every
+    coefficient a Fraction at the constructor or at scaled, and _from_raw's
+    callers pass Fractions."""
     data: dict[tuple, Fraction] = {}
     for raw, coeff in pairs:
-        size = len(data)
-        held = data.setdefault(raw, coeff)
-        if len(data) == size:  # raw was met before
-            data[raw] = held + coeff
-    for raw in [raw for raw, coeff in data.items() if not coeff]:
-        del data[raw]
-    return data
+        data[raw] = data[raw] + coeff if raw in data else coeff
+    return {raw: coeff for raw, coeff in data.items() if coeff}
 
 
 class Expansion:

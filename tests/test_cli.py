@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ncskew import classify, cli, sym, textio
+from ncskew import classify, cli, ncsym, sym, textio
 from ncskew.cli import main
 from ncskew.compositions import Partition
 from ncskew.diagrams import SkewDiagram, connected_diagrams
@@ -252,6 +252,21 @@ def test_verify_reports_a_sweep_that_cannot_run(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err.startswith("error: the row blocks ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_a_walk_that_meets_a_key_twice_is_reported(capsys, monkeypatch):
+    """A Jacobi-Trudi walk that repeats its own first term meets that key
+    twice, which the expansion refuses with RuntimeError; expand-nc and
+    verify turn it into one error line and exit code 1.  The cache is
+    cleared first, or expand-nc would not walk at all."""
+    walk = SkewDiagram.surviving_terms
+    monkeypatch.setattr(SkewDiagram, "surviving_terms", lambda d: (terms := walk(d)) + terms[:1])
+    ncsym.source_skew_schur.cache_clear()
+    for argv in (["expand-nc", "--source", "2,1"], ["verify", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: the Jacobi-Trudi walk of ") and len(err.splitlines()) == 1
+        assert "meets a key twice" in err and "Traceback" not in err
 
 
 def test_a_number_too_long_to_read_is_a_parse_error(capsys):

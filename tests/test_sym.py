@@ -49,8 +49,8 @@ def test_expansion_shell():
 
 def test_collect_sums_drops_zeros_and_keeps_first_appearance():
     """The expansion builders merge Fraction coefficients through _collect,
-    which deletes zeros in place: a repeated key is summed at its first
-    place, a zero, given or summed, is dropped, and key order is kept."""
+    which drops zeros: a repeated key is summed at its first place, a
+    zero, given or summed, is dropped, and key order is kept."""
     half = Fraction(1, 2)
     one, two, three, zero = Fraction(1), Fraction(2), Fraction(3), Fraction(0)
     got = _collect(
