@@ -62,7 +62,7 @@ from typing import Iterator
 from .diagrams import EXPANSION_TERM_CAP, SkewDiagram, connected_diagrams
 from .ncsym import NCExpansion, _jacobi_trudi, source_skew_schur
 from .permutations import Permutation
-from .setpartitions import Blocks, SetPartition, interval_blocks
+from .setpartitions import Blocks, interval_blocks
 from .value import Value
 
 
@@ -159,14 +159,20 @@ def same_diagram_verdict(sigma: Permutation, d: SkewDiagram) -> SameDiagramVerdi
 
     sigma stands for tau^-1 delta; the verdict also reports the sufficient
     condition, so sufficiency can be asserted exhaustively while its
-    converse is only observed.
+    converse is only observed.  Both are read from source_skew_schur's
+    cached E_D, and the condition is checked as defined, key by key.
+
+    An atom is the intersection of the key blocks that hold its points, so
+    a sigma that fixes every key block fixes every atom.  Every key block
+    is a union of atoms, so a sigma in Y(atoms) fixes every key block.  So
+    the condition holds exactly on Y(atoms), whose order the sweep counts
+    as same_diagram_condition.
     """
     LabeledDiagram(sigma, d)  # refuses a size mismatch or a disconnected d
     src = source_skew_schur(d)
-    entry = _entry(d, src)
     return SameDiagramVerdict(
         equal=src.relabels_to(sigma.images, src),
-        blocks_preserved=sigma.preserves_blocks(SetPartition._trusted(entry.atoms)),
+        blocks_preserved=all(sigma.preserves_blocks(key) for key in src.support()),
     )
 
 
@@ -175,12 +181,13 @@ def count_equivalent(d: SkewDiagram) -> int:
     rotation of d.  Only defined for connected nonsymmetric ribbons; the
     classification says the answer is the factorial product of the row
     lengths.  _observed yields one sigma per right coset of the Young
-    subgroup of d's atoms, so the count is theirs times its order."""
+    subgroup of d's atoms, so the count is theirs times its order.  Both
+    entries are built as the sweep builds them, each from a fresh walk."""
     partner = _rotation_partner(d)  # None for a disconnected d: no ribbon
     if partner is None:
         raise ValueError("count_equivalent needs a connected nonsymmetric ribbon")
-    first = _entry(d, source_skew_schur(d))
-    second = _entry(partner, source_skew_schur(partner))
+    first = _entry(d)
+    second = _entry(partner)
     return sum(1 for _ in _observed(first, second)) * _young_order(first.atoms)
 
 
@@ -306,13 +313,13 @@ class _Entry(Value):
     partner: SkewDiagram | None
 
 
-def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
-    """src is E_D when the caller holds it: same_diagram_verdict and
-    count_equivalent pass source_skew_schur's cached expansion, as they are
-    called again and again on one diagram.  The sweep's table leaves it out,
-    and E_D comes from _jacobi_trudi, the uncached builder that
-    source_skew_schur wraps, as each sweep builds every diagram's entry once
-    and the cache would only be filled, never read.  Everything else reads
+def _entry(d: SkewDiagram) -> _Entry:
+    """d's entry in the sweep's table.  E_D comes from _jacobi_trudi, the
+    uncached builder that source_skew_schur wraps, as each sweep builds
+    every diagram's entry once and the cache would only be filled, never
+    read; count_equivalent builds its two entries the same way.  The
+    _Entry is built positionally, Value.__init__'s quicker path, as there is
+    one per diagram.  Everything else reads
     the distinct keys.  The row-blocks key is looked up, and one Counter
     goes over the keys, counting how many hold each distinct block.  A
     point's colour adds up those counts over the blocks holding it, and the
@@ -326,8 +333,7 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
     predicted sets must stay constant, rests on that key.  The lemma in
     SkewDiagram.surviving_terms proves the key is there, so only a broken
     walk or expansion trips the check, which stays as a guard on them."""
-    if src is None:
-        src = _jacobi_trudi(d)
+    src = _jacobi_trudi(d)
     rows = interval_blocks(d.row_lengths().parts)
     if rows not in src._terms:
         raise RuntimeError(f"the row blocks {rows} are not a key of the expansion of {d}")
@@ -344,15 +350,8 @@ def _entry(d: SkewDiagram, src: NCExpansion | None = None) -> _Entry:
     for atom in atoms:
         grouped.setdefault((len(atom), tuple(counts[atom[0] - 1])), []).append(atom)
     classes = tuple(sorted((key, tuple(group)) for key, group in grouped.items()))
-    return _Entry(
-        diagram=d,
-        expansion=src,
-        fingerprint=tuple((key, len(group)) for key, group in classes),
-        rows=rows,
-        atoms=atoms,
-        classes=classes,
-        partner=_rotation_partner(d),
-    )
+    fingerprint = tuple((key, len(group)) for key, group in classes)
+    return _Entry(d, src, fingerprint, rows, atoms, classes, _rotation_partner(d))
 
 
 def _observed(first: _Entry, second: _Entry) -> Iterator[tuple[int, ...]]:

@@ -13,10 +13,12 @@ costs several times a direct attribute read, but no workload compares or
 hashes any other value type in bulk.  SkewDiagram, the expansion cache's
 key and the sweep's index key, is hashed and compared thousands of times
 in one benchmark pass, so it defines its own; its comment gives the
-counts.  Value's __init__ serves the types that neither validate nor are
-built in bulk; the others define their own, but for the parts types
-Composition, WeakComposition and Partition, which share the annotation of
-parts and the one parts check of compositions._Parts (Partition adds its
+counts.  Value's __init__ serves the types that do not validate; the
+sweep builds one _Entry per diagram, so classify passes its fields
+positionally, which skips the keyword path.  The types that validate
+define their own __init__, but for the parts types Composition,
+WeakComposition and Partition, which share the annotation of parts and
+the one parts check of compositions._Parts (Partition adds its
 weakly-decreasing check).  Partition, SetPartition and SkewDiagram also
 have _trusted, which skips validation for the values the program derives in
 bulk, valid by construction (a relabeled key, an enumerated or rotated

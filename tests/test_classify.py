@@ -195,20 +195,33 @@ def test_count_equivalent_rejects_bad_input():
 
 
 def test_the_public_verdicts_read_the_expansion_cache(monkeypatch):
-    """same_diagram_verdict and count_equivalent are called again and again
-    on one diagram, so they take E_D from source_skew_schur's cache; only
-    the sweep's table expands afresh through _jacobi_trudi."""
+    """same_diagram_verdict is called again and again on one diagram, so it
+    reads E_D from source_skew_schur's cache and checks the block condition
+    on its keys, building no entry and no fresh walk.  count_equivalent
+    builds its two entries as the sweep does, each from a fresh
+    _jacobi_trudi walk, and reads no cache."""
+    entries, walks = [], []
+    entry, walk = classify._entry, classify._jacobi_trudi
 
-    def no_fresh_walk(d):
-        raise AssertionError(f"{d} expanded afresh")
+    def spy_entry(d):
+        entries.append(d)
+        return entry(d)
 
-    monkeypatch.setattr(classify, "_jacobi_trudi", no_fresh_walk)
+    def spy_walk(d):
+        walks.append(d)
+        return walk(d)
+
+    monkeypatch.setattr(classify, "_entry", spy_entry)
+    monkeypatch.setattr(classify, "_jacobi_trudi", spy_walk)
     source_skew_schur.cache_clear()
     for sigma in symmetric_group(3):
         same_diagram_verdict(sigma, HOOK)
-    assert count_equivalent(HOOK) == 2
     info = source_skew_schur.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
+    assert (info.misses, info.hits) == (1, 5)
+    assert entries == walks == []
+    assert count_equivalent(HOOK) == 2
+    assert walks == [HOOK, ROTATED]
+    assert source_skew_schur.cache_info() == info
 
 
 def test_same_diagram_identity():
@@ -221,13 +234,22 @@ def test_same_diagram_identity():
 
 
 def test_same_diagram_block_condition_is_sufficient():
-    for n in range(1, 5):
+    """The block condition, checked key by key, holds exactly on the Young
+    subgroup of the sweep's atoms, so the public verdict and the sweep's
+    same_diagram_condition count the same sigma without sharing code."""
+    for n in range(1, 6):
         for d in connected_diagrams(n):
+            entry = classify._entry(d)
+            atoms = SetPartition._trusted(entry.atoms)
+            preserved = 0
             for sigma in symmetric_group(n):
                 verdict = same_diagram_verdict(sigma, d)
+                assert verdict.blocks_preserved == sigma.preserves_blocks(atoms), (d, sigma)
                 if verdict.blocks_preserved:
                     assert verdict.equal
                 assert bool(verdict) == verdict.equal
+                preserved += verdict.blocks_preserved
+            assert preserved == classify._young_order(entry.atoms), d
 
 
 def test_same_diagram_condition_is_not_necessary():
@@ -771,6 +793,14 @@ def _per_coset(n):
 def test_kernel_matches_the_labeling_scan():
     for n in range(1, 6):
         assert verify_exhaustive(n) == _scan(n), n
+
+
+@pytest.mark.slow
+def test_kernel_matches_the_labeling_scan_at_six():
+    """The labeling-by-labeling scan stays ground truth at n = 6: 46^2
+    pairs times 720 sigma.  n = 7 would take 105^2 x 5040, about 55.6
+    million relabels_to calls, and is left out."""
+    assert verify_exhaustive(6) == _scan(6)
 
 
 def test_kernel_matches_the_per_coset_kernel():
