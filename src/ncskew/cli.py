@@ -63,18 +63,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_expand_nc(args) -> int:
-    if args.source:
-        if len(args.args) != 1:
-            raise ParseError("--source takes exactly one argument: the diagram")
-        d = textio.parse_diagram(args.args[0])
-        e = ncsym.source_skew_schur(d)
-    else:
-        if len(args.args) != 2:
-            raise ParseError("expected a permutation and a diagram")
-        d = textio.parse_diagram(args.args[1])
-        delta = textio.parse_permutation(args.args[0], size=d.size)
-        e = ncsym.skew_schur(delta, d)
-    _print_expansion(e, args.format == "machine")
+    d = textio.parse_diagram(args.diagram)
+    delta = textio.parse_permutation(args.perm, size=d.size)
+    _print_expansion(ncsym.skew_schur(delta, d), args.format == "machine")
     return 0
 
 
@@ -167,8 +158,8 @@ def _define_expand(p) -> None:
 
 
 def _define_expand_nc(p) -> None:
-    p.add_argument("--source", action="store_true", help="use the source labeling")
-    p.add_argument("args", nargs="+", metavar="ARG")
+    p.add_argument("perm")
+    p.add_argument("diagram")
     _add_format(p)
     p.set_defaults(func=_cmd_expand_nc)
 

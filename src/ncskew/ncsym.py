@@ -91,9 +91,7 @@ def act(delta: Permutation, e: NCExpansion) -> NCExpansion:
     relabeled = dict(zip(relabel_keys(delta.images, terms), terms.values()))
     if len(relabeled) != len(terms):
         raise RuntimeError("act relabeled two keys onto one, so the relabeling is not a bijection")
-    image = object.__new__(NCExpansion)
-    image._terms = relabeled
-    return image
+    return NCExpansion._wrap(relabeled)
 
 
 @lru_cache(maxsize=2**12)
@@ -134,9 +132,7 @@ def _jacobi_trudi(d: SkewDiagram) -> NCExpansion:
         terms[blocks] = plus if sign > 0 else minus
     if len(terms) != len(walk):
         raise RuntimeError(f"the Jacobi-Trudi walk of {d} meets a key twice")
-    e = object.__new__(NCExpansion)
-    e._terms = terms
-    return e
+    return NCExpansion._wrap(terms)
 
 
 @lru_cache(maxsize=1024)
@@ -204,7 +200,8 @@ def to_commutative(e: NCExpansion) -> SymExpansion:
     raise them to a power of the term count.  Each shape then
     builds one Fraction, its numerator times the shape's factorial product
     over its denominator, and a shape whose numerator sums to zero is
-    dropped.
+    dropped.  The shapes left are distinct keys with nonzero coefficients,
+    so _wrap holds them as they are, with nothing to merge a second time.
     """
     sums: dict[tuple[int, ...], list[int]] = {}
     for raw, coeff in e._terms.items():
@@ -218,10 +215,12 @@ def to_commutative(e: NCExpansion) -> SymExpansion:
         else:
             held[0] = held[0] * den + num * held[1]
             held[1] *= den
-    return SymExpansion._from_raw(
-        (shape, Fraction(num * prod(map(factorial, shape)), den))
-        for shape, (num, den) in sums.items()
-        if num
+    return SymExpansion._wrap(
+        {
+            shape: Fraction(num * prod(map(factorial, shape)), den)
+            for shape, (num, den) in sums.items()
+            if num
+        }
     )
 
 

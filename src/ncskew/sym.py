@@ -36,9 +36,9 @@ def _exact(coeff: object) -> Fraction:
 
 def _collect(pairs: Iterable[tuple[tuple, Fraction]]) -> dict[tuple, Fraction]:
     """Sum the Fraction coefficients of equal raw keys and drop zeros,
-    keeping the order in which the keys first appear.  _exact made every
-    coefficient a Fraction at the constructor or at scaled, and _from_raw's
-    callers pass Fractions."""
+    keeping the order in which the keys first appear, so that _wrap may hold
+    the result.  _exact made every coefficient a Fraction at the constructor
+    or at scaled."""
     data: dict[tuple, Fraction] = {}
     for raw, coeff in pairs:
         data[raw] = data[raw] + coeff if raw in data else coeff
@@ -53,6 +53,12 @@ class Expansion:
     (`Partition.parts` or `SetPartition.blocks`) in the order they were
     built; items() and repr() show them in display order: more parts first,
     then lexicographic.
+
+    `_terms` maps distinct canonical raw keys of one degree to nonzero
+    Fractions.  Only this class sets it: `__init__` checks and merges what
+    it is given, and `_wrap`, the one trusted constructor, holds a dict
+    that its caller built to that rule, as every key derived from valid
+    ones is canonical.
     """
 
     __slots__ = ("_terms",)
@@ -71,11 +77,10 @@ class Expansion:
             raise ValueError(f"expansion mixes degrees {sorted(degrees)}")
 
     @classmethod
-    def _from_raw(cls, pairs: Iterable[tuple[tuple, Fraction]]):
-        """Trusted constructor from (raw key, Fraction) pairs whose keys are
-        canonical and of one degree, as keys derived from valid ones are."""
+    def _wrap(cls, terms: dict[tuple, Fraction]):
+        """The expansion holding terms, which is neither checked nor copied."""
         e = object.__new__(cls)
-        e._terms = _collect(pairs)
+        e._terms = terms
         return e
 
     def _check_key(self, key) -> None:
@@ -124,7 +129,7 @@ class Expansion:
             return NotImplemented
         if self and other and self.degree != other.degree:
             raise ValueError(f"expansion mixes degrees {sorted((self.degree, other.degree))}")
-        return self._from_raw(itertools.chain(self._terms.items(), other._terms.items()))
+        return self._wrap(_collect(itertools.chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -133,17 +138,18 @@ class Expansion:
 
     def scaled(self, c: Coefficient):
         c = _exact(c)
-        return self._from_raw((raw, coeff * c) for raw, coeff in self._terms.items())
+        return self._wrap(_collect((raw, coeff * c) for raw, coeff in self._terms.items()))
 
     def __mul__(self, other):
         """Bilinear extension of the product of basis indices."""
         if type(other) is not type(self):
             return NotImplemented
-        return self._from_raw(
+        products = (
             (self._product(raw1, raw2), c1 * c2)
             for raw1, c1 in self._terms.items()
             for raw2, c2 in other._terms.items()
         )
+        return self._wrap(_collect(products))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{raw}: {coeff}" for raw, coeff in self._display_terms())
@@ -187,9 +193,7 @@ def skew_schur(d: SkewDiagram) -> SymExpansion:
     for subs, sign in d.surviving_terms():
         key = tuple(sorted(subs, reverse=True))
         sums[key] = sums.get(key, 0) + sign
-    e = object.__new__(SymExpansion)
-    e._terms = {key: Fraction(total) for key, total in sums.items() if total}
-    return e
+    return SymExpansion._wrap({key: Fraction(total) for key, total in sums.items() if total})
 
 
 def ribbon_schur(alpha: Composition) -> SymExpansion:

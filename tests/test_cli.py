@@ -62,7 +62,7 @@ def test_expand_machine(capsys):
 
 
 def test_expand_nc_source(capsys):
-    code, out, _ = run(capsys, "expand-nc", "--source", "2,1")
+    code, out, _ = run(capsys, "expand-nc", "id", "2,1")
     assert code == 0
     assert out == "1/2*h[12/3] - 1/6*h[123]\n"
 
@@ -77,9 +77,21 @@ def test_expand_nc_labeled(capsys):
 
 
 def test_expand_nc_machine(capsys):
-    code, out, _ = run(capsys, "expand-nc", "--source", "2,1", "--format", "machine")
+    code, out, _ = run(capsys, "expand-nc", "id", "2,1", "--format", "machine")
     assert code == 0
     assert out == "1/2\t12/3\n-1/6\t123\n"
+
+
+def test_expand_nc_id_prints_the_source_expansion(capsys):
+    """`expand-nc id D` is the CLI's one spelling of the source labeling:
+    for every connected diagram with n <= 6 it prints source_skew_schur(D),
+    and with --format machine its machine lines."""
+    for n in range(1, 7):
+        for d in connected_diagrams(n):
+            src, text = ncsym.source_skew_schur(d), textio.format_diagram(d)
+            assert run(capsys, "expand-nc", "id", text) == (0, f"{src}\n", ""), text
+            machine = "".join(f"{line}\n" for line in textio.machine_lines(src))
+            assert run(capsys, "expand-nc", "id", text, "--format", "machine") == (0, machine, "")
 
 
 def test_equal(capsys):
@@ -262,7 +274,7 @@ def test_a_walk_that_meets_a_key_twice_is_reported(capsys, monkeypatch):
     walk = SkewDiagram.surviving_terms
     monkeypatch.setattr(SkewDiagram, "surviving_terms", lambda d: (terms := walk(d)) + terms[:1])
     ncsym.source_skew_schur.cache_clear()
-    for argv in (["expand-nc", "--source", "2,1"], ["verify", "3"]):
+    for argv in (["expand-nc", "id", "2,1"], ["verify", "3"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: the Jacobi-Trudi walk of ") and len(err.splitlines()) == 1
@@ -277,7 +289,7 @@ def test_a_number_too_long_to_read_is_a_parse_error(capsys):
     for argv in (
         ["show", long],
         ["expand", f"{long},1"],
-        ["expand-nc", "--source", long],
+        ["expand-nc", "id", long],
         ["expand-nc", "1", f"2/{long}"],
     ):
         code, out, err = run(capsys, *argv)
@@ -308,7 +320,7 @@ OVER_CAP = f"{textio.CELL_CAP},1"
     [
         ["show", OVER_CAP],
         ["expand", OVER_CAP],
-        ["expand-nc", "--source", OVER_CAP],
+        ["expand-nc", "id", OVER_CAP, "--format", "machine"],
         ["expand-nc", "id", OVER_CAP],
         ["equal", "id", OVER_CAP, "id", "1"],
         ["classify", "id", OVER_CAP, "id", "1"],
@@ -338,7 +350,7 @@ OVER_WIDTH = f"{textio.CELL_CAP + 1},1/{textio.CELL_CAP}"
         ["show", OVER_WIDTH],
         ["expand", OVER_WIDTH],
         ["overlap", OVER_WIDTH, "1"],
-        ["expand-nc", "--source", OVER_WIDTH],
+        ["expand-nc", "id", OVER_WIDTH],
     ],
 )
 def test_a_diagram_wider_than_the_cap_is_refused(capsys, monkeypatch, argv):
@@ -364,17 +376,17 @@ def test_a_row_at_the_cell_cap_prints_its_coefficient(capsys):
     """The cap is sized so that 1/n!, the coefficient of an n-cell row,
     prints within Python's default limit on converting ints to text."""
     cap = textio.CELL_CAP
-    code, out, err = run(capsys, "expand-nc", "--source", str(cap), "--format", "machine")
+    code, out, err = run(capsys, "expand-nc", "id", str(cap), "--format", "machine")
     assert (code, err) == (0, "")
     assert out == f"1/{math.factorial(cap)}\t{','.join(map(str, range(1, cap + 1)))}\n"
 
 
 def test_a_reader_that_stops_early_ends_the_output_quietly():
-    """`expand-nc --format machine --source 1^16 | head -1`: the 32,768
+    """`expand-nc --format machine id 1^16 | head -1`: the 32,768
     lines pass a 64 KB pipe buffer, so ncskew writes to a closed pipe; it
     exits 1 with nothing on stderr."""
     column = ",".join(["1"] * 16)
-    argv = [sys.executable, "-m", "ncskew", "expand-nc", "--format", "machine", "--source", column]
+    argv = [sys.executable, "-m", "ncskew", "expand-nc", "--format", "machine", "id", column]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -385,14 +397,14 @@ def test_a_reader_that_stops_early_ends_the_output_quietly():
 
 
 def test_expand_nc_tall_column(capsys):
-    code, out, _ = run(capsys, "expand-nc", "--source", ",".join(["1"] * 14), "--format", "machine")
+    code, out, _ = run(capsys, "expand-nc", "id", ",".join(["1"] * 14), "--format", "machine")
     assert code == 0
     assert len(out.splitlines()) == 8192
 
 
 def test_expansion_term_cap(capsys):
     column = ",".join(["1"] * 40)
-    for argv in (["expand-nc", "--source", column], ["expand", column]):
+    for argv in (["expand-nc", "id", column], ["expand", column]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: the expansion has {2**39} terms, more than the cap of {2**16}\n"
@@ -410,13 +422,16 @@ def test_exit_codes(capsys):
     # labeling of the wrong size
     code, _, _ = run(capsys, "expand-nc", "12", "2,1")
     assert code == 1
-    # expand-nc argument counts
-    code, out, err = run(capsys, "expand-nc", "--source", "2,1", "1,1")
-    assert (code, out) == (2, "")
-    assert err == "error: --source takes exactly one argument: the diagram\n"
-    code, out, err = run(capsys, "expand-nc", "2,1")
-    assert (code, out) == (2, "")
-    assert err == "error: expected a permutation and a diagram\n"
+    # argparse checks expand-nc's argument count, and knows no --source
+    for argv, message in (
+        (["expand-nc", "2,1"], "the following arguments are required: diagram"),
+        (["expand-nc", "--source", "2,1"], "the following arguments are required: diagram"),
+        (["expand-nc", "id", "2,1", "1,1"], "unrecognized arguments: 1,1"),
+        (["expand-nc", "--source", "id", "2,1"], "unrecognized arguments: --source"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: ncskew") and err.endswith(f"error: {message}\n"), err
     # argparse rejects the unknown command with its own exit
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
@@ -456,7 +471,7 @@ def test_non_ascii_digits_are_not_counts(capsys):
 
 def test_consecutive_calls_share_no_state(capsys):
     # the parser is built once; one call's options must not reach the next
-    code, out, _ = run(capsys, "expand-nc", "--source", "2,1")
+    code, out, _ = run(capsys, "expand-nc", "id", "2,1")
     assert (code, out) == (0, "1/2*h[12/3] - 1/6*h[123]\n")
     code, out, _ = run(capsys, "expand-nc", "id", "2,2/1")
     assert (code, out) == (0, "1/2*h[1/23] - 1/6*h[123]\n")

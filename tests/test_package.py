@@ -31,6 +31,36 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_only_expansion_builds_expansions():
+    """Outside sym.Expansion no code stores or deletes a `_terms`
+    attribute, passes "_terms" to setattr, or calls object.__new__ on an
+    expansion class, so the invariant on `_terms` that Expansion's
+    docstring states is kept by that class alone."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE_DIR.glob("*.py")}
+    classes = {"Expansion"} | {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Expansion" for base in node.bases)
+    }
+    assert classes == {"Expansion", "SymExpansion", "NCExpansion"}
+    found = []
+    for name, tree in sorted(trees.items()):
+        for top in tree.body:
+            if name == "sym.py" and isinstance(top, ast.ClassDef) and top.name == "Expansion":
+                continue
+            for node in ast.walk(top):
+                call = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+                args = [ast.unparse(arg) for arg in node.args] if call else []
+                if (
+                    isinstance(node, ast.Attribute) and node.attr == "_terms" and not isinstance(node.ctx, ast.Load)
+                    or call == "object.__new__" and args[:1] and args[0] in classes
+                    or call == "setattr" and args[1:2] == ["'_terms'"]
+                ):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_caches_are_bounded():
     for cached in (ncsym.source_skew_schur, ncsym._composition_term, cli.build_parser, cli._command_parser):
         maxsize = cached.cache_info().maxsize
